@@ -59,7 +59,7 @@ pub fn run(n: usize, keys: u32, workers: usize, snapshots: usize) -> Table {
     let mut table = Table::new(
         &format!(
             "ext_snap — live consistent cuts mid-storm \
-             (n = {n}, keys = {keys}, {workers} workers/node, window 4)"
+             (n = {n}, keys = {keys}, {workers} shard threads/node, window 4)"
         ),
         &[
             "cut",

@@ -8,8 +8,10 @@
 //! * [`Cluster`] — one OS thread per tree node, crossbeam channels
 //!   (per-sender FIFO, the paper's only network assumption);
 //! * [`tcp::TcpCluster`] — the same node loop over loopback sockets;
-//! * [`LockSpaceCluster`] — the sharded multi-key lock service, with
-//!   per-shard worker threads and the simulator's coalescing transport.
+//! * [`LockSpaceCluster`] — the sharded multi-key lock service:
+//!   shared-nothing shard threads (`workers` per node), each running
+//!   the per-key handlers inline over the simulator's coalescing
+//!   transport.
 //!
 //! Acquisition is a builder — [`LockClient::lock`] then one of
 //! [`wait`](LockRequest::wait), [`try_now`](LockRequest::try_now),

@@ -1,32 +1,32 @@
 //! The multi-lock service over real threads: a [`LockSpaceCluster`]
 //! serves the same keyed-lock API the simulated `dmx-lockspace`
-//! subsystem exposes — with per-shard worker parallelism, the same
-//! coalescing transport the simulator runs, and the same unified
-//! [`LockClient`] every other backend hands out (try/timeout/deadline
-//! and deadlock-free [`lock_many`](LockClient::lock_many) included).
+//! subsystem exposes — with per-shard parallelism, the same coalescing
+//! transport the simulator runs, and the same unified [`LockClient`]
+//! every other backend hands out (try/timeout/deadline and
+//! deadlock-free [`lock_many`](LockClient::lock_many) included).
 //!
-//! Each node is a small thread group:
+//! Each node is [`LockSpaceClusterConfig::workers`] independent,
+//! shared-nothing **shard threads**. Shard `s` owns everything for the
+//! keys with `k % workers == s`: the lazily-materialized [`LockTable`]
+//! slice (the same sharded table, the same lazy-orientation soundness
+//! argument), the shared [`PendingSet`](crate::service)
+//! pending/abandon machine for those keys — so timeouts, abandonment
+//! (release-on-grant; the paper has no cancel message), and request
+//! adoption behave identically on every backend — and its own
+//! [`Transport`] (`dmx-lockspace`'s coalescing layer, the identical
+//! grouping code the simulated `LockSpace` flushes through). Its loop
+//! has the shape of the single-lock node loop: take one input, run the
+//! pure per-key [`DagNode`] handler inline, stage the sends, and flush
+//! one envelope per destination when the [`FlushPolicy`]'s cap is hit
+//! or the inbox goes idle.
 //!
-//! * **per-shard workers** (one or more, [`LockSpaceClusterConfig::workers`])
-//!   each own the lazily-materialized [`LockTable`] slice for the keys
-//!   hashed to them — the same sharded table, the same lazy-orientation
-//!   soundness argument — and drive the pure per-key [`DagNode`]
-//!   handlers, pushing sends into a per-worker outbox;
-//! * a **router** thread that unwraps incoming [`Envelope`]s, fans the
-//!   keyed messages out to the owning workers, merges the workers'
-//!   outboxes into one shared [`Transport`] (`dmx-lockspace`'s
-//!   coalescing layer — the identical grouping code the simulated
-//!   `LockSpace` flushes through), and flushes one envelope per
-//!   destination when the [`FlushPolicy`]'s cap is hit or the inbox
-//!   goes idle. The router also runs the shared
-//!   [`PendingSet`](crate::service) pending/abandon machine — across
-//!   its whole key space, where the single-lock node loop runs it for
-//!   one key — so timeouts, abandonment (release-on-grant; the paper
-//!   has no cancel message), and request adoption behave identically
-//!   on every backend.
+//! The key → shard map is the same on every node, so shard `s` of node
+//! `i` only ever talks to shard `s` of node `j` (one *shard plane* per
+//! `s`), and a client sends each operation straight to the shard that
+//! owns its key: a protocol hop is one channel send and one wake-up.
 //!
 //! The wire therefore carries [`Envelope::One`]/[`Envelope::Batch`]
-//! exactly like the simulator's network: a node forwarding many keys'
+//! exactly like the simulator's network: a shard forwarding many keys'
 //! traffic to the same peer pays one channel send, not one per key.
 //! Locking key `k` from node `i` still runs exactly the per-key
 //! algorithm the simulator measures: `REQUEST`s hop toward `k`'s sink,
@@ -55,7 +55,6 @@
 //! # Ok::<(), dmx_runtime::LockError>(())
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -94,17 +93,18 @@ pub struct LockSpaceClusterConfig {
     pub keys: u32,
     /// Initial token placement per key.
     pub placement: Placement,
-    /// Worker threads per node; key `k` is served by worker
-    /// `k % workers`, so each worker owns a shard of the node's lock
-    /// table.
+    /// Shard threads per node — all of a node's threads; there is no
+    /// other. Key `k` is served by shard `k % workers` on every node,
+    /// which owns that slice of the node's lock table, pending set and
+    /// transport and shares nothing with the node's other shards.
     pub workers: usize,
-    /// How the per-node transport coalesces outgoing traffic. The
-    /// threaded runtime has no ticks, so the policy maps to merged
-    /// worker-outbox *bursts*: [`FlushPolicy::EveryTick`] flushes after
-    /// every burst, [`FlushPolicy::Window`]`(k)` merges up to `k`
-    /// bursts, and [`FlushPolicy::Adaptive`] flushes on its
+    /// How each shard's transport coalesces outgoing traffic. The
+    /// threaded runtime has no ticks, so the policy maps to *bursts* —
+    /// one per keyed input a shard handles: [`FlushPolicy::EveryTick`]
+    /// flushes after every burst, [`FlushPolicy::Window`]`(k)` merges
+    /// up to `k` bursts, and [`FlushPolicy::Adaptive`] flushes on its
     /// staged-per-destination target — and every policy flushes the
-    /// moment the node's inbox goes idle, so coalescing never stalls a
+    /// moment the shard's inbox goes idle, so coalescing never stalls a
     /// waiting lock.
     pub flush: FlushPolicy,
 }
@@ -120,7 +120,7 @@ impl Default for LockSpaceClusterConfig {
     }
 }
 
-/// Inputs a lock-space node processes.
+/// Inputs a shard thread processes.
 enum Input {
     /// Local user wants `key`'s critical section; reply when granted.
     Acquire(LockId, Sender<Reply>),
@@ -133,21 +133,23 @@ enum Input {
     /// The user gave up waiting on `key`; release its privilege the
     /// moment it arrives (unless a new acquisition adopts the request).
     Abandon(LockId),
-    /// An envelope of keyed protocol messages from a peer.
+    /// An envelope of keyed protocol messages from the same shard of a
+    /// peer node.
     Net {
         /// Wire sender.
         from: NodeId,
         /// Payload: one or many keyed messages.
         envelope: Envelope,
     },
-    /// Capture a consistent cut: reply with this node's slice once the
-    /// Chandy–Lamport round completes (all peers' markers received).
+    /// Capture a consistent cut: reply with this shard's slice once its
+    /// plane's Chandy–Lamport round completes (all peers' markers
+    /// received).
     Snapshot {
-        /// Where the node's [`NodeCut`] goes.
+        /// Where the shard's slice goes.
         reply: Sender<NodeCut>,
     },
     /// A Chandy–Lamport marker from peer `from`: the cut boundary on
-    /// the `from → me` channel.
+    /// the `from → me` channel of this shard's plane.
     Marker {
         /// The peer whose cut point this marker carries.
         from: NodeId,
@@ -156,97 +158,26 @@ enum Input {
     Shutdown,
 }
 
-/// Everything a node's router thread receives: external inputs plus its
-/// own workers' outboxes coming back for the merge.
-enum NodeMsg {
-    External(Input),
-    Worker(WorkerOut),
-    /// One worker's table slice for an in-progress cut. Deliberately
-    /// not a [`WorkerOut`]: cuts do not count against the router's
-    /// outstanding-job bookkeeping.
-    WorkerCut(Vec<KeyCut>),
-}
-
-/// One job dispatched from a router to the worker owning the key.
-enum WorkerJob {
-    /// Local user wants `key`.
-    Acquire(LockId),
-    /// Local user wants `key` iff its token is locally available.
-    TryAcquire(LockId),
-    /// Local user releases `key`.
-    Release(LockId),
-    /// A keyed protocol message from a peer.
-    Net {
-        /// Wire sender.
-        from: NodeId,
-        /// Payload.
-        msg: KeyedDagMessage,
-    },
-    /// Report the table slice as a [`NodeMsg::WorkerCut`]. Queue
-    /// position is the worker's cut point: every job ahead of it is
-    /// pre-cut, everything behind post-cut.
-    Snapshot,
-    /// Stop and report stats.
-    Shutdown,
-}
-
-/// One worker dispatch's results: the outbox the router merges into the
-/// node transport, plus a grant signal when the dispatch entered a
-/// critical section (or a refusal when a try found the token remote).
-struct WorkerOut {
-    sends: Vec<(NodeId, KeyedDagMessage)>,
-    entered: Option<LockId>,
-    refused: Option<LockId>,
-}
-
-/// One router's in-progress Chandy–Lamport cut.
-///
-/// Two phases. **Drain** (`!markers_sent`): the workers have been sent
-/// [`WorkerJob::Snapshot`] and the router parks every external input in
-/// `deferred` while the pre-cut jobs' outboxes finish merging — worker
-/// out-channels are FIFO, so once all [`NodeMsg::WorkerCut`]s are in,
-/// the router has merged *exactly* the sends of the jobs the tables
-/// reflect, and the staged transport can be captured without double- or
-/// under-counting a token. **Record** (`markers_sent`): markers are
-/// out, deferred inputs replay, and traffic from each peer is recorded
-/// as that channel's in-flight state until its marker arrives.
+/// One shard's in-progress Chandy–Lamport cut. The shard is a single
+/// thread, so its cut point is atomic between two inputs: table, user
+/// state and transport staging are captured (and the markers sent) in
+/// one step, and from then on traffic from each peer is recorded as
+/// that channel's in-flight state until its marker arrives.
 struct CutState {
-    /// Where this node's slice goes; `None` until the local snapshot
-    /// request arrives (a peer's marker may trigger the cut first).
+    /// Where the slice goes; `None` until the local snapshot request
+    /// arrives (a peer's marker may trigger the cut first).
     reply: Option<Sender<NodeCut>>,
-    /// Worker table slices still owed.
-    workers_left: usize,
-    /// Per-peer: marker received, channel recording closed.
+    /// Per-peer: marker received, channel recording closed (the shard's
+    /// own slot starts closed — there is no such channel). The cut is
+    /// complete when every slot is.
     marker_seen: Vec<bool>,
-    /// Peers whose marker is still outstanding.
-    markers_left: usize,
-    /// `false` during the drain phase, `true` once this node's own
-    /// markers went out.
-    markers_sent: bool,
-    /// Materialized instances reported by the workers.
-    keys: Vec<KeyCut>,
-    /// Local user state at the cut point (captured at drain end).
-    held: Vec<LockId>,
-    /// Outstanding local acquisitions at the cut point.
-    pending: Vec<(LockId, bool)>,
-    /// Transport staging at the cut point.
-    staged: Vec<(NodeId, KeyedDagMessage)>,
-    /// Per-sender channel recordings.
-    recording: Vec<Vec<KeyedDagMessage>>,
-    /// External inputs parked during the drain phase, replayed in
-    /// arrival order the moment the markers go out.
-    deferred: Vec<Input>,
+    /// The state captured at the cut point, plus the per-sender channel
+    /// recordings filling in behind it.
+    slice: NodeCut,
 }
 
-/// Counters one worker accumulates over its lifetime.
-#[derive(Debug, Clone, Copy, Default)]
-struct WorkerStats {
-    requests_sent: u64,
-    privileges_sent: u64,
-    keys_materialized: usize,
-}
-
-/// Counters one lock-space node accumulates over its lifetime.
+/// Counters one lock-space node accumulates over its lifetime (summed
+/// over its shards).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockSpaceNodeStats {
     /// Keyed `REQUEST` messages sent by this node.
@@ -262,9 +193,20 @@ pub struct LockSpaceNodeStats {
     /// (or was already held) with nobody waiting and was released
     /// immediately.
     pub abandoned: u64,
-    /// Lock instances this node materialized (keys it saw traffic for),
-    /// summed over its workers.
+    /// Lock instances this node materialized (keys it saw traffic for).
     pub keys_materialized: usize,
+}
+
+impl LockSpaceNodeStats {
+    /// Folds one shard's counters into its node's.
+    fn absorb(&mut self, shard: LockSpaceNodeStats) {
+        self.requests_sent += shard.requests_sent;
+        self.privileges_sent += shard.privileges_sent;
+        self.envelopes_sent += shard.envelopes_sent;
+        self.entries += shard.entries;
+        self.abandoned += shard.abandoned;
+        self.keys_materialized += shard.keys_materialized;
+    }
 }
 
 /// Whole-cluster counters returned by [`LockSpaceCluster::shutdown`].
@@ -306,56 +248,60 @@ impl LockSpaceStats {
     }
 }
 
-/// A running multi-lock cluster: a router plus per-shard workers per
-/// tree node, each worker hosting its shard's per-key DAG instances.
-/// Obtain per-node [`LockClient`]s from [`LockSpaceCluster::start`]
-/// (or [`start_with`](LockSpaceCluster::start_with) for worker/flush
+/// A running multi-lock cluster: `workers` shard threads per tree node,
+/// each hosting its shard's per-key DAG instances. Obtain per-node
+/// [`LockClient`]s from [`LockSpaceCluster::start`] (or
+/// [`start_with`](LockSpaceCluster::start_with) for shard/flush
 /// control) and call [`shutdown`](LockSpaceCluster::shutdown) when
 /// done.
 #[derive(Debug)]
 pub struct LockSpaceCluster {
     keys: u32,
     placement: Placement,
-    txs: Vec<Sender<NodeMsg>>,
-    joins: Vec<JoinHandle<LockSpaceNodeStats>>,
+    /// Shard inboxes, `[node][shard]`.
+    txs: Vec<Vec<Sender<Input>>>,
+    /// Shard threads, `[node][shard]`.
+    joins: Vec<Vec<JoinHandle<LockSpaceNodeStats>>>,
 }
 
-/// The lock space's [`Endpoint`]: client operations map onto keyed
-/// [`Input`]s for the node's router.
+/// The lock space's [`Endpoint`]: each client operation becomes a keyed
+/// [`Input`] sent straight to the shard owning the key.
 struct LockSpaceEndpoint {
-    tx: Sender<NodeMsg>,
+    /// This node's shard inboxes, indexed by shard.
+    shards: Vec<Sender<Input>>,
+}
+
+impl LockSpaceEndpoint {
+    fn send(&self, key: LockId, input: Input) -> Result<(), LockError> {
+        self.shards[key.index() % self.shards.len()]
+            .send(input)
+            .map_err(|_| LockError::ClusterDown)
+    }
 }
 
 impl Endpoint for LockSpaceEndpoint {
     fn acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        self.tx
-            .send(NodeMsg::External(Input::Acquire(key, ack)))
-            .map_err(|_| LockError::ClusterDown)
+        self.send(key, Input::Acquire(key, ack))
     }
 
     fn try_acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        self.tx
-            .send(NodeMsg::External(Input::TryAcquire(key, ack)))
-            .map_err(|_| LockError::ClusterDown)
+        self.send(key, Input::TryAcquire(key, ack))
     }
 
     fn abandon(&self, key: LockId) -> Result<(), LockError> {
-        self.tx
-            .send(NodeMsg::External(Input::Abandon(key)))
-            .map_err(|_| LockError::ClusterDown)
+        self.send(key, Input::Abandon(key))
     }
 
     fn release(&self, key: LockId) {
         // If the cluster is already gone there is nobody to notify.
-        let _ = self.tx.send(NodeMsg::External(Input::Release(key)));
+        let _ = self.send(key, Input::Release(key));
     }
 }
 
 impl LockSpaceCluster {
-    /// Spawns one node group per node of `tree` serving `keys` locks
-    /// placed per `placement` (one worker per node, every-burst
-    /// flushing), and returns the cluster plus one [`LockClient`]
-    /// per node (index = node id).
+    /// Spawns one shard thread per node of `tree`, serving `keys` locks
+    /// placed per `placement` (every-burst flushing), and returns the
+    /// cluster plus one [`LockClient`] per node (index = node id).
     ///
     /// # Panics
     ///
@@ -376,7 +322,7 @@ impl LockSpaceCluster {
         )
     }
 
-    /// [`LockSpaceCluster::start`] with explicit worker parallelism and
+    /// [`LockSpaceCluster::start`] with explicit shard parallelism and
     /// flush policy.
     ///
     /// # Panics
@@ -395,47 +341,57 @@ impl LockSpaceCluster {
         if let Placement::Hub(h) = config.placement {
             assert!(h.index() < n, "hub {h} out of range for {n} nodes");
         }
-        // Each worker lazily caches the orientations of the hubs it
+        // Each shard lazily caches the orientations of the hubs it
         // actually touches (computing one up front per node would cost
         // O(n²) before the first lock is served); only the tree itself
         // is shared.
         let tree = Arc::new(tree.clone());
 
-        let channels: Vec<(Sender<NodeMsg>, Receiver<NodeMsg>)> =
-            (0..n).map(|_| unbounded()).collect();
-        let txs: Vec<Sender<NodeMsg>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-
+        let mut txs: Vec<Vec<Sender<Input>>> = Vec::with_capacity(n);
+        let mut rxs: Vec<Vec<Receiver<Input>>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (node_txs, node_rxs) = (0..config.workers).map(|_| unbounded()).unzip();
+            txs.push(node_txs);
+            rxs.push(node_rxs);
+        }
         let mut joins = Vec::with_capacity(n);
-        for (i, (self_tx, rx)) in channels.into_iter().enumerate() {
-            let me = NodeId::from_index(i);
-            let peers = txs.clone();
-            // Per-shard workers: worker w owns keys with k % workers == w.
-            let mut worker_txs = Vec::with_capacity(config.workers);
-            let mut worker_joins = Vec::with_capacity(config.workers);
-            for _ in 0..config.workers {
-                let (jtx, jrx) = unbounded::<WorkerJob>();
-                let out = self_tx.clone();
-                let tree = Arc::clone(&tree);
-                let placement = config.placement.clone();
-                worker_txs.push(jtx);
-                worker_joins.push(std::thread::spawn(move || {
-                    worker_main(me, n, placement, tree, jrx, out)
-                }));
+        for (i, node_rxs) in rxs.into_iter().enumerate() {
+            let mut node_joins = Vec::with_capacity(config.workers);
+            for (s, rx) in node_rxs.into_iter().enumerate() {
+                let shard = Shard {
+                    keys: ShardKeys {
+                        me: NodeId::from_index(i),
+                        placement: config.placement.clone(),
+                        tree: Arc::clone(&tree),
+                        orientations: OrientationCache::new(n),
+                        table: LockTable::new(16),
+                    },
+                    // The shard plane: shard s of every node.
+                    peers: txs.iter().map(|node| node[s].clone()).collect(),
+                    transport: Transport::new(n, config.flush),
+                    pool: BatchPool::new(),
+                    pending: PendingSet::new(),
+                    held: Vec::new(),
+                    actions: Vec::new(),
+                    bursts: 0,
+                    cut: None,
+                    stats: LockSpaceNodeStats::default(),
+                };
+                node_joins.push(std::thread::spawn(move || shard.run(rx)));
             }
-            drop(self_tx);
-            joins.push(std::thread::spawn(move || {
-                router_main(me, n, config.flush, rx, peers, worker_txs, worker_joins)
-            }));
+            joins.push(node_joins);
         }
 
         let clients = txs
             .iter()
             .enumerate()
-            .map(|(i, tx)| {
+            .map(|(i, shards)| {
                 LockClient::new(
                     NodeId::from_index(i),
                     config.keys,
-                    Box::new(LockSpaceEndpoint { tx: tx.clone() }),
+                    Box::new(LockSpaceEndpoint {
+                        shards: shards.clone(),
+                    }),
                 )
             })
             .collect();
@@ -471,11 +427,14 @@ impl LockSpaceCluster {
     /// channels (see [`crate::snapshot`] for the protocol and
     /// [`LockSpaceSnapshot::verify`] for the oracle it must pass).
     ///
-    /// Every node is asked at once, so whichever reaches a node first —
-    /// this request or a peer's marker — triggers its cut, and the
-    /// slices still compose into one consistent global state. Lock
-    /// traffic keeps flowing the whole time; only each node's own
-    /// worker drain serializes briefly with its cut point.
+    /// Every shard is asked at once, so whichever reaches a shard first
+    /// — this request or a peer's marker — triggers its cut. Shard
+    /// planes share no channel, so the result is **one consistent cut
+    /// per shard plane**, merged into one [`NodeCut`] per node; every
+    /// invariant `verify` checks is per key and a key lives in one
+    /// plane, so the oracle keeps its full strength (the module docs
+    /// say what is no longer one instant). Lock traffic keeps flowing
+    /// the whole time.
     ///
     /// # Panics
     ///
@@ -486,29 +445,54 @@ impl LockSpaceCluster {
     /// [`shutdown`]: LockSpaceCluster::shutdown
     pub fn snapshot(&self) -> LockSpaceSnapshot {
         let (reply, slices) = unbounded();
-        for tx in &self.txs {
-            let sent = tx.send(NodeMsg::External(Input::Snapshot {
+        for tx in self.txs.iter().flatten() {
+            let sent = tx.send(Input::Snapshot {
                 reply: reply.clone(),
-            }));
+            });
             assert!(sent.is_ok(), "snapshot of a stopped cluster");
         }
         drop(reply);
-        let mut cuts: Vec<NodeCut> = (0..self.txs.len())
+        let mut slices: Vec<NodeCut> = (self.txs.iter().flatten())
             .map(|_| slices.recv().expect("cut interrupted by shutdown"))
             .collect();
-        cuts.sort_by_key(|c| c.node.index());
+        slices.sort_by_key(|slice| slice.node.index());
+        // Fold each node's run of shard slices into its first one.
+        let mut cuts: Vec<NodeCut> = Vec::with_capacity(self.txs.len());
+        for mut slice in slices {
+            match cuts.last_mut().filter(|cut| cut.node == slice.node) {
+                None => cuts.push(slice),
+                Some(cut) => {
+                    cut.keys.append(&mut slice.keys);
+                    cut.held.append(&mut slice.held);
+                    cut.pending.append(&mut slice.pending);
+                    cut.staged.append(&mut slice.staged);
+                    for (channel, more) in cut.in_flight.iter_mut().zip(&mut slice.in_flight) {
+                        channel.append(more);
+                    }
+                }
+            }
+        }
+        for cut in &mut cuts {
+            cut.keys.sort_by_key(|k| k.key);
+        }
         LockSpaceSnapshot::new(self.keys, self.placement.clone(), cuts)
     }
 
     /// Stops every node and returns the aggregated counters.
     pub fn shutdown(self) -> LockSpaceStats {
-        for tx in &self.txs {
-            let _ = tx.send(NodeMsg::External(Input::Shutdown));
+        for tx in self.txs.iter().flatten() {
+            let _ = tx.send(Input::Shutdown);
         }
-        let per_node: Vec<LockSpaceNodeStats> = self
+        let per_node = self
             .joins
             .into_iter()
-            .map(|j| j.join().expect("lock-space router thread panicked"))
+            .map(|shards| {
+                let mut node = LockSpaceNodeStats::default();
+                for shard in shards {
+                    node.absorb(shard.join().expect("lock-space shard thread panicked"));
+                }
+                node
+            })
             .collect();
         LockSpaceStats::from_nodes(per_node)
     }
@@ -534,456 +518,309 @@ impl LockService for LockSpaceCluster {
     }
 }
 
-/// One per-shard worker: drives the pure [`DagNode`] handlers for every
-/// key hashed to it, returning each dispatch's outbox to the router for
-/// the transport merge.
-fn worker_main(
+/// A shard's slice of its node's lock table, with what materializing an
+/// instance needs. Split from [`Shard`] so a handler can borrow an
+/// instance and the shard's action buffer at once.
+struct ShardKeys {
     me: NodeId,
-    n: usize,
     placement: Placement,
     tree: Arc<Tree>,
-    rx: Receiver<WorkerJob>,
-    out: Sender<NodeMsg>,
-) -> WorkerStats {
-    let mut stats = WorkerStats::default();
-    let mut table: LockTable = LockTable::new(16);
-    // Orientations of the hubs this worker has seen traffic for, filled
-    // on first use — untouched hubs cost nothing, like untouched keys.
-    let mut orientations = OrientationCache::new(n);
-    // Reused across dispatches; the per-dispatch outbox is harvested
-    // from it before being shipped to the router.
-    let mut actions: Vec<Action> = Vec::new();
+    /// Orientations of the hubs this shard has seen traffic for, filled
+    /// on first use — untouched hubs cost nothing, like untouched keys.
+    orientations: OrientationCache,
+    table: LockTable,
+}
 
-    fn materialize<'t>(
-        table: &'t mut LockTable,
-        key: LockId,
-        me: NodeId,
-        placement: &Placement,
-        tree: &Tree,
-        orientations: &mut OrientationCache,
-    ) -> &'t mut DagNode {
-        // The same materialization seed the simulated lock space uses.
-        table.get_or_insert_with(key, move || {
-            placement.initial_instance(key, me, tree, orientations)
+impl ShardKeys {
+    /// `key`'s instance, materialized on first touch from the same seed
+    /// the simulated lock space uses.
+    fn instance(&mut self, key: LockId) -> &mut DagNode {
+        self.table.get_or_insert_with(key, || {
+            self.placement
+                .initial_instance(key, self.me, &self.tree, &mut self.orientations)
         })
     }
+}
 
-    while let Ok(job) = rx.recv() {
-        let key = match &job {
-            WorkerJob::Acquire(key) | WorkerJob::TryAcquire(key) | WorkerJob::Release(key) => *key,
-            WorkerJob::Net { msg, .. } => msg.lock,
-            WorkerJob::Snapshot => {
-                // The cut point for this worker's shard: every job the
-                // router dispatched before the cut has been applied to
-                // the table (per-channel FIFO), nothing after it has.
-                let cut = table
-                    .iter()
-                    .map(|(key, inst)| KeyCut {
-                        key,
-                        has_token: inst.has_token(),
-                        executing: inst.is_executing(),
-                        requesting: inst.is_requesting(),
-                    })
-                    .collect();
-                let _ = out.send(NodeMsg::WorkerCut(cut));
-                continue;
-            }
-            WorkerJob::Shutdown => break,
-        };
-        actions.clear();
-        let mut refused = None;
-        match job {
-            WorkerJob::Acquire(key) => {
-                materialize(&mut table, key, me, &placement, &tree, &mut orientations)
-                    .request_into(&mut actions);
-            }
-            WorkerJob::TryAcquire(key) => {
-                let instance =
-                    materialize(&mut table, key, me, &placement, &tree, &mut orientations);
-                if instance.has_token() && !instance.is_executing() {
-                    // The token is parked here, idle: entering is local
-                    // and free (request_into yields a bare Enter).
-                    instance.request_into(&mut actions);
-                } else {
-                    refused = Some(key);
+/// One shard thread's whole state: everything node `me` keeps for the
+/// keys hashed to this shard. Nothing here is shared with the node's
+/// other shards.
+struct Shard {
+    keys: ShardKeys,
+    /// This shard's plane: the same shard's inbox on every node.
+    peers: Vec<Sender<Input>>,
+    transport: Transport,
+    pool: BatchPool,
+    /// The local user's outstanding acquisitions (waiting or abandoned)
+    /// on this shard's keys — the same machine the single-lock node
+    /// loop runs for its one key.
+    pending: PendingSet,
+    /// Keys the local user currently holds (granted, not yet released);
+    /// lock_many holds several at once.
+    held: Vec<LockId>,
+    /// Reused across the whole loop: the buffered [`DagNode`] handlers
+    /// push into it, so steady-state handling allocates nothing.
+    actions: Vec<Action>,
+    /// Keyed inputs handled since the last flush (the tickless analogue
+    /// of the simulator's coalescing window).
+    bursts: u64,
+    /// The in-progress Chandy–Lamport cut, if any.
+    cut: Option<CutState>,
+    stats: LockSpaceNodeStats,
+}
+
+impl Shard {
+    /// The shard loop: handle one input at a time, flushing the
+    /// transport the moment the inbox goes idle.
+    fn run(mut self, rx: Receiver<Input>) -> LockSpaceNodeStats {
+        loop {
+            let input = if self.transport.staged() > 0 {
+                match rx.try_recv() {
+                    Ok(input) => input,
+                    Err(TryRecvError::Empty) => {
+                        self.flush();
+                        continue;
+                    }
+                    Err(TryRecvError::Disconnected) => break,
                 }
-            }
-            WorkerJob::Release(key) => {
-                table
-                    .get_mut(key)
-                    .expect("released key is materialized")
-                    .exit_into(&mut actions);
-            }
-            WorkerJob::Net { from, msg } => match msg.msg {
-                DagMessage::Request { from: link, origin } => {
-                    debug_assert_eq!(link, from);
-                    materialize(&mut table, key, me, &placement, &tree, &mut orientations)
-                        .receive_request_into(from, origin, &mut actions);
+            } else {
+                match rx.recv() {
+                    Ok(input) => input,
+                    Err(_) => break,
                 }
-                DagMessage::Privilege => table
-                    .get_mut(key)
-                    .expect("PRIVILEGE only travels to a requester")
-                    .receive_privilege_into(&mut actions),
-                DagMessage::Initialize => {} // pre-oriented start-up
-            },
-            WorkerJob::Snapshot | WorkerJob::Shutdown => unreachable!("handled above"),
+            };
+            match input {
+                Input::Acquire(key, ack) => match self.pending.acquire(key, ack) {
+                    // An abandoned request for this key is still in
+                    // flight; the new acquisition adopts it silently.
+                    AcquireAction::Adopted => {}
+                    AcquireAction::Issue => {
+                        self.actions.clear();
+                        self.keys.instance(key).request_into(&mut self.actions);
+                        self.settle(key);
+                    }
+                },
+                Input::TryAcquire(key, ack) => {
+                    let reply = self.try_acquire(key);
+                    let _ = ack.send(reply);
+                    self.end_burst();
+                }
+                Input::Release(key) => self.exit(key),
+                Input::Abandon(key) => {
+                    match self.pending.abandon(key, self.held.contains(&key)) {
+                        AbandonAction::Marked | AbandonAction::Stale => {}
+                        // Race: the grant was already delivered but the
+                        // user timed out anyway — release immediately.
+                        AbandonAction::ReleaseNow => {
+                            self.stats.abandoned += 1;
+                            self.exit(key);
+                        }
+                    }
+                }
+                Input::Net { from, envelope } => {
+                    // Post-cut, pre-marker traffic on this channel is
+                    // exactly the in-flight state the cut must record.
+                    let cut = self.cut.as_mut();
+                    if let Some(cut) = cut.filter(|cut| !cut.marker_seen[from.index()]) {
+                        let channel = &mut cut.slice.in_flight[from.index()];
+                        match &envelope {
+                            Envelope::One(msg) => channel.push(*msg),
+                            Envelope::Batch(batch) => channel.extend_from_slice(batch),
+                        }
+                    }
+                    match envelope {
+                        Envelope::One(msg) => self.deliver(from, msg),
+                        Envelope::Batch(mut batch) => {
+                            for msg in batch.drain(..) {
+                                self.deliver(from, msg);
+                            }
+                            // The drained payload joins this shard's own
+                            // pool: cross-node buffer recycling.
+                            self.pool.put(batch);
+                        }
+                    }
+                }
+                Input::Snapshot { reply } => {
+                    self.cut_mut().reply = Some(reply);
+                    self.finish_cut();
+                }
+                Input::Marker { from } => {
+                    // If this marker beat the local snapshot request,
+                    // its arrival is the cut point and its channel
+                    // records nothing.
+                    self.cut_mut().marker_seen[from.index()] = true;
+                    self.finish_cut();
+                }
+                Input::Shutdown => break,
+            }
         }
-        let mut sends = Vec::with_capacity(actions.len());
-        let mut entered = None;
-        for action in &actions {
+        self.stats.keys_materialized = self.keys.table.len();
+        self.stats
+    }
+
+    /// Grants `key` iff its token is parked here, idle, with no other
+    /// acquisition engaged — never sending a protocol message.
+    fn try_acquire(&mut self, key: LockId) -> Reply {
+        // An abandoned request in flight means the token is not here (a
+        // requesting node never holds it): refuse before touching the
+        // table.
+        if self.pending.is_engaged(key) {
+            return Reply::Unavailable;
+        }
+        let instance = self.keys.instance(key);
+        if !instance.has_token() || instance.is_executing() {
+            return Reply::Unavailable;
+        }
+        self.actions.clear();
+        instance.request_into(&mut self.actions);
+        debug_assert!(
+            matches!(self.actions[..], [Action::Enter]),
+            "a holding idle node enters locally"
+        );
+        self.stats.entries += 1;
+        self.held.push(key);
+        Reply::Granted
+    }
+
+    /// Leaves `key`'s critical section, passing the privilege on if a
+    /// request is queued behind it.
+    fn exit(&mut self, key: LockId) {
+        self.held.retain(|&k| k != key);
+        self.actions.clear();
+        self.keys.instance(key).exit_into(&mut self.actions);
+        self.settle(key);
+    }
+
+    /// Runs the handler for one keyed protocol message from `from`.
+    fn deliver(&mut self, from: NodeId, msg: KeyedDagMessage) {
+        let instance = self.keys.instance(msg.lock);
+        self.actions.clear();
+        match msg.msg {
+            DagMessage::Request { from: link, origin } => {
+                debug_assert_eq!(link, from);
+                instance.receive_request_into(from, origin, &mut self.actions);
+            }
+            DagMessage::Privilege => instance.receive_privilege_into(&mut self.actions),
+            DagMessage::Initialize => {} // pre-oriented start-up
+        }
+        self.settle(msg.lock);
+    }
+
+    /// Finishes one handler call for `key`: stages the sends it pushed
+    /// into `actions` and resolves an Enter through the pending set —
+    /// hand the critical section to the waiting user, or, if the user
+    /// abandoned, bounce the privilege straight back out.
+    fn settle(&mut self, key: LockId) {
+        let mut entered = false;
+        for action in &self.actions {
             match *action {
                 Action::Send { to, message } => {
                     match message {
-                        DagMessage::Request { .. } => stats.requests_sent += 1,
-                        DagMessage::Privilege => stats.privileges_sent += 1,
+                        DagMessage::Request { .. } => self.stats.requests_sent += 1,
+                        DagMessage::Privilege => self.stats.privileges_sent += 1,
                         DagMessage::Initialize => {}
                     }
-                    sends.push((
-                        to,
-                        KeyedDagMessage {
-                            lock: key,
-                            msg: message,
-                        },
-                    ));
+                    let msg = KeyedDagMessage {
+                        lock: key,
+                        msg: message,
+                    };
+                    self.transport.stage(to, msg);
                 }
-                Action::Enter => entered = Some(key),
+                Action::Enter => entered = true,
             }
         }
-        // The reply can only fail during shutdown, when the router no
-        // longer merges.
-        let _ = out.send(NodeMsg::Worker(WorkerOut {
-            sends,
-            entered,
-            refused,
-        }));
-    }
-    stats.keys_materialized = table.len();
-    stats
-}
-
-/// One node's router: fans keyed traffic out to the per-shard workers,
-/// merges their outboxes into the shared [`Transport`], flushes pooled
-/// envelopes to the peers when the flush policy's cap is hit or the
-/// inbox goes idle, and resolves local grants through the shared
-/// [`PendingSet`] pending/abandon machine.
-fn router_main(
-    me: NodeId,
-    n: usize,
-    flush: FlushPolicy,
-    rx: Receiver<NodeMsg>,
-    peers: Vec<Sender<NodeMsg>>,
-    worker_txs: Vec<Sender<WorkerJob>>,
-    worker_joins: Vec<JoinHandle<WorkerStats>>,
-) -> LockSpaceNodeStats {
-    let mut stats = LockSpaceNodeStats::default();
-    let mut transport = Transport::new(n, flush);
-    let mut pool = BatchPool::new();
-    // The local user's outstanding acquisitions (waiting or abandoned),
-    // across the whole key space — the same machine the single-lock
-    // node loop runs for its one key.
-    let mut pending = PendingSet::new();
-    // The one outstanding try-acquisition, if any (the client is
-    // `&mut`-serialized, so there is never more than one).
-    let mut trying: Option<(LockId, Sender<Reply>)> = None;
-    // Keys the local user currently holds (granted, not yet released);
-    // lock_many holds several at once.
-    let mut held: Vec<LockId> = Vec::new();
-    // Jobs dispatched to workers whose outboxes have not come back yet:
-    // while nonzero, more coalescing material is guaranteed to arrive,
-    // so an empty inbox is not yet "idle".
-    let mut outstanding = 0usize;
-    // Worker outboxes merged since the last flush (the tickless
-    // analogue of the simulator's coalescing window).
-    let mut bursts = 0u64;
-    // The in-progress Chandy–Lamport cut, if any.
-    let mut cut: Option<CutState> = None;
-    // Inputs deferred during a cut's drain phase, consumed ahead of the
-    // inbox so channel order is preserved.
-    let mut replay: VecDeque<Input> = VecDeque::new();
-
-    let workers = worker_txs.len();
-    let worker_for = |key: LockId| key.index() % workers;
-
-    macro_rules! flush_transport {
-        () => {
-            transport.flush(&mut pool, |to, envelope| {
-                stats.envelopes_sent += 1;
-                // A send can only fail during shutdown, when the
-                // counters no longer matter.
-                let _ =
-                    peers[to.index()].send(NodeMsg::External(Input::Net { from: me, envelope }));
-            });
-            bursts = 0;
-        };
+        if entered {
+            match self.pending.grant(key) {
+                GrantAction::Deliver(ack) => {
+                    self.stats.entries += 1;
+                    self.held.push(key);
+                    let _ = ack.send(Reply::Granted);
+                }
+                GrantAction::AutoRelease => {
+                    self.stats.abandoned += 1;
+                    // Exit never re-enters, so this recursion is one deep.
+                    return self.exit(key);
+                }
+            }
+        }
+        self.end_burst();
     }
 
-    macro_rules! dispatch {
-        ($key:expr, $job:expr) => {
-            let _ = worker_txs[worker_for($key)].send($job);
-            outstanding += 1;
-        };
+    /// Counts one handled keyed input toward the flush policy's cap.
+    /// Every input counts — including send-less ones — so a busy
+    /// stretch of absorbing handlers cannot freeze the counter and hold
+    /// an already-staged envelope past the policy's bound.
+    fn end_burst(&mut self) {
+        self.bursts += 1;
+        if self.transport.staged() > 0 && self.transport.burst_cap_reached(self.bursts) {
+            self.flush();
+        }
     }
 
-    // Opens a cut: ask every worker for its table slice at its current
-    // queue position; the drain phase runs until all slices are back.
-    macro_rules! start_cut {
-        () => {{
-            for tx in &worker_txs {
-                let _ = tx.send(WorkerJob::Snapshot);
+    /// Transmits everything staged, one envelope per destination.
+    fn flush(&mut self) {
+        let from = self.keys.me;
+        self.transport.flush(&mut self.pool, |to, envelope| {
+            self.stats.envelopes_sent += 1;
+            // A send can only fail during shutdown, when the counters
+            // no longer matter.
+            let _ = self.peers[to.index()].send(Input::Net { from, envelope });
+        });
+        self.bursts = 0;
+    }
+
+    /// The in-progress cut, opened here and now if there is none: the
+    /// table slice, user state and transport staging are captured
+    /// between two inputs, so they describe one frontier, and the
+    /// markers leave before anything staged does.
+    fn cut_mut(&mut self) -> &mut CutState {
+        self.cut.get_or_insert_with(|| {
+            let (me, n) = (self.keys.me, self.peers.len());
+            let key_cut = |(key, instance): (LockId, &DagNode)| KeyCut {
+                key,
+                has_token: instance.has_token(),
+                executing: instance.is_executing(),
+                requesting: instance.is_requesting(),
+            };
+            let mut slice = NodeCut {
+                node: me,
+                keys: self.keys.table.iter().map(key_cut).collect(),
+                held: self.held.clone(),
+                pending: Vec::new(),
+                staged: Vec::new(),
+                in_flight: vec![Vec::new(); n],
+            };
+            self.pending
+                .for_each_engaged(|key, abandoned| slice.pending.push((key, abandoned)));
+            self.transport
+                .for_each_staged(|to, msg| slice.staged.push((to, *msg)));
+            for (p, peer) in self.peers.iter().enumerate() {
+                if p != me.index() {
+                    let _ = peer.send(Input::Marker { from: me });
+                }
             }
             CutState {
                 reply: None,
-                workers_left: workers,
-                marker_seen: vec![false; n],
-                markers_left: n - 1,
-                markers_sent: false,
-                keys: Vec::new(),
-                held: Vec::new(),
-                pending: Vec::new(),
-                staged: Vec::new(),
-                recording: vec![Vec::new(); n],
-                deferred: Vec::new(),
+                marker_seen: (0..n).map(|p| p == me.index()).collect(),
+                slice,
             }
-        }};
+        })
     }
 
-    // Ships the node's slice once the cut is complete: markers out,
-    // every peer's marker in, and the local reply channel attached.
-    macro_rules! finish_cut {
-        () => {
-            if cut
-                .as_ref()
-                .is_some_and(|c| c.markers_sent && c.markers_left == 0 && c.reply.is_some())
-            {
-                let mut c = cut.take().expect("checked above");
-                c.keys.sort_by_key(|k| k.key);
-                let _ = c.reply.expect("checked above").send(NodeCut {
-                    node: me,
-                    keys: c.keys,
-                    held: c.held,
-                    pending: c.pending,
-                    staged: c.staged,
-                    in_flight: c.recording,
-                });
+    /// Ships the shard's slice once the cut is complete: every peer's
+    /// marker in, and the local reply channel attached.
+    fn finish_cut(&mut self) {
+        match self.cut.take() {
+            Some(CutState {
+                reply: Some(reply),
+                marker_seen,
+                slice,
+            }) if marker_seen.iter().all(|&seen| seen) => {
+                let _ = reply.send(slice);
             }
-        };
-    }
-
-    loop {
-        // Deferred inputs replay ahead of the inbox; otherwise block
-        // only when the transport is empty or workers still owe
-        // outboxes, and flush the moment the inbox goes idle.
-        let msg = if let Some(input) = replay.pop_front() {
-            NodeMsg::External(input)
-        } else if transport.staged() > 0 && outstanding == 0 {
-            match rx.try_recv() {
-                Ok(msg) => msg,
-                Err(TryRecvError::Empty) => {
-                    flush_transport!();
-                    continue;
-                }
-                Err(TryRecvError::Disconnected) => break,
-            }
-        } else {
-            match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            }
-        };
-        // Drain phase: park external inputs until the workers' cut
-        // slices are in — dispatching (or even resolving) them now
-        // could stage a post-cut send into the about-to-be-captured
-        // transport and double-count a token.
-        let msg = match (&mut cut, msg) {
-            (Some(c), NodeMsg::External(input)) if !c.markers_sent => {
-                c.deferred.push(input);
-                continue;
-            }
-            (_, msg) => msg,
-        };
-        match msg {
-            NodeMsg::External(Input::Acquire(key, ack)) => match pending.acquire(key, ack) {
-                // An abandoned request for this key is still in
-                // flight; the new acquisition adopts it silently.
-                AcquireAction::Adopted => {}
-                AcquireAction::Issue => {
-                    dispatch!(key, WorkerJob::Acquire(key));
-                }
-            },
-            NodeMsg::External(Input::TryAcquire(key, ack)) => {
-                debug_assert!(trying.is_none(), "second outstanding try");
-                if pending.is_engaged(key) {
-                    // An abandoned request is in flight: the token is
-                    // not here (a requesting node never holds it).
-                    let _ = ack.send(Reply::Unavailable);
-                } else {
-                    trying = Some((key, ack));
-                    dispatch!(key, WorkerJob::TryAcquire(key));
-                }
-            }
-            NodeMsg::External(Input::Release(key)) => {
-                held.retain(|&k| k != key);
-                dispatch!(key, WorkerJob::Release(key));
-            }
-            NodeMsg::External(Input::Abandon(key)) => {
-                match pending.abandon(key, held.contains(&key)) {
-                    AbandonAction::Marked | AbandonAction::Stale => {}
-                    // Race: the grant was already delivered but the
-                    // user timed out anyway — release immediately.
-                    AbandonAction::ReleaseNow => {
-                        stats.abandoned += 1;
-                        held.retain(|&k| k != key);
-                        dispatch!(key, WorkerJob::Release(key));
-                    }
-                }
-            }
-            NodeMsg::External(Input::Net { from, envelope }) => {
-                if let Some(c) = cut.as_mut() {
-                    // Post-cut, pre-marker traffic on this channel is
-                    // exactly the in-flight state the cut must record.
-                    if !c.marker_seen[from.index()] {
-                        match &envelope {
-                            Envelope::One(msg) => c.recording[from.index()].push(*msg),
-                            Envelope::Batch(batch) => {
-                                c.recording[from.index()].extend(batch.iter().copied());
-                            }
-                        }
-                    }
-                }
-                match envelope {
-                    Envelope::One(msg) => {
-                        dispatch!(msg.lock, WorkerJob::Net { from, msg });
-                    }
-                    Envelope::Batch(mut batch) => {
-                        for msg in batch.drain(..) {
-                            dispatch!(msg.lock, WorkerJob::Net { from, msg });
-                        }
-                        // The drained payload joins this node's own pool:
-                        // cross-node buffer recycling.
-                        pool.put(batch);
-                    }
-                }
-            }
-            NodeMsg::External(Input::Snapshot { reply }) => {
-                if cut.is_none() {
-                    cut = Some(start_cut!());
-                }
-                cut.as_mut().expect("just opened").reply = Some(reply);
-                finish_cut!();
-            }
-            NodeMsg::External(Input::Marker { from }) => {
-                if cut.is_none() {
-                    // A peer's marker reached us before the local
-                    // snapshot request: its arrival is our cut point,
-                    // and that channel records nothing.
-                    cut = Some(start_cut!());
-                }
-                let c = cut.as_mut().expect("just opened");
-                if !c.marker_seen[from.index()] {
-                    c.marker_seen[from.index()] = true;
-                    c.markers_left -= 1;
-                }
-                finish_cut!();
-            }
-            NodeMsg::External(Input::Shutdown) => break,
-            NodeMsg::Worker(WorkerOut {
-                sends,
-                entered,
-                refused,
-            }) => {
-                outstanding -= 1;
-                for (to, keyed) in sends {
-                    transport.stage(to, keyed);
-                }
-                // Every merged outbox counts toward the cap — including
-                // send-less ones — so a busy stretch of absorbing
-                // dispatches cannot freeze the counter and hold an
-                // already-staged envelope past the policy's bound.
-                bursts += 1;
-                if let Some(key) = refused {
-                    match trying.take() {
-                        Some((wanted, ack)) => {
-                            assert_eq!(wanted, key, "try refusal for the wrong key");
-                            let _ = ack.send(Reply::Unavailable);
-                        }
-                        None => unreachable!("node {me}: try refusal with no try outstanding"),
-                    }
-                }
-                if let Some(key) = entered {
-                    if trying.as_ref().is_some_and(|(k, _)| *k == key) {
-                        let (_, ack) = trying.take().expect("checked above");
-                        stats.entries += 1;
-                        held.push(key);
-                        let _ = ack.send(Reply::Granted);
-                    } else {
-                        match pending.grant(key) {
-                            GrantAction::Deliver(ack) => {
-                                stats.entries += 1;
-                                held.push(key);
-                                let _ = ack.send(Reply::Granted);
-                            }
-                            GrantAction::AutoRelease => {
-                                // The waiter abandoned: bounce the
-                                // privilege straight back out — unless a
-                                // cut is draining, in which case the
-                                // bounce is post-cut work and must wait
-                                // with the other deferred inputs.
-                                stats.abandoned += 1;
-                                match cut.as_mut().filter(|c| !c.markers_sent) {
-                                    Some(c) => c.deferred.push(Input::Release(key)),
-                                    None => {
-                                        dispatch!(key, WorkerJob::Release(key));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if transport.staged() > 0 && transport.burst_cap_reached(bursts) {
-                    flush_transport!();
-                }
-            }
-            NodeMsg::WorkerCut(mut keys) => {
-                let drained = {
-                    let c = cut.as_mut().expect("worker cut without an active cut");
-                    c.keys.append(&mut keys);
-                    c.workers_left -= 1;
-                    c.workers_left == 0
-                };
-                if drained {
-                    // Every pre-cut job's outbox is merged (worker out
-                    // channels are FIFO), so table slices, user state,
-                    // and transport staging now describe one frontier:
-                    // capture it, send the markers, and let the parked
-                    // inputs replay as post-cut traffic.
-                    let c = cut.as_mut().expect("still active");
-                    c.held = held.clone();
-                    pending.for_each_engaged(|key, abandoned| c.pending.push((key, abandoned)));
-                    transport.for_each_staged(|to, msg| c.staged.push((to, *msg)));
-                    for (p, peer) in peers.iter().enumerate() {
-                        if p != me.index() {
-                            let _ = peer.send(NodeMsg::External(Input::Marker { from: me }));
-                        }
-                    }
-                    c.markers_sent = true;
-                    debug_assert!(replay.is_empty(), "two cuts draining at once");
-                    replay.extend(c.deferred.drain(..));
-                    finish_cut!();
-                }
-            }
+            open => self.cut = open,
         }
     }
-
-    for tx in &worker_txs {
-        let _ = tx.send(WorkerJob::Shutdown);
-    }
-    for join in worker_joins {
-        let ws = join.join().expect("lock-space worker thread panicked");
-        stats.requests_sent += ws.requests_sent;
-        stats.privileges_sent += ws.privileges_sent;
-        stats.keys_materialized += ws.keys_materialized;
-    }
-    stats
 }
 
 #[cfg(test)]
@@ -1387,6 +1224,97 @@ mod tests {
         }
         let stats = cluster.shutdown();
         assert_eq!(stats.entries, 200 * n as u64);
+    }
+
+    #[test]
+    fn snapshot_merges_every_shard_plane_into_one_cut_per_node() {
+        let config = LockSpaceClusterConfig {
+            keys: 9,
+            placement: Placement::Hub(NodeId(0)),
+            workers: 3,
+            ..LockSpaceClusterConfig::default()
+        };
+        let (cluster, mut clients) = LockSpaceCluster::start_with(&Tree::line(2), config);
+        // Keys 3, 5, 7 live on shards 0, 2, 1: node 1 holds one key on
+        // each of its three threads while the cut is taken.
+        let guard = clients[1]
+            .lock_many(&[LockId(7), LockId(3), LockId(5)])
+            .wait()
+            .unwrap();
+
+        let snapshot = cluster.snapshot();
+        let summary = snapshot.verify().expect("merged cut is consistent");
+        assert_eq!(snapshot.nodes(), 2);
+        assert_eq!(summary.executing, 3);
+        assert_eq!(summary.tokens_in_tables, 3);
+        assert_eq!(summary.implicit_tokens, 6);
+        let node1 = &snapshot.cuts()[1];
+        let mut held = node1.held.clone();
+        held.sort_unstable();
+        assert_eq!(held, [LockId(3), LockId(5), LockId(7)]);
+        // The three slices' instances merge into one key-sorted list.
+        let keys: Vec<LockId> = node1.keys.iter().map(|kc| kc.key).collect();
+        assert_eq!(keys, [LockId(3), LockId(5), LockId(7)]);
+        assert!(node1.keys.iter().all(|kc| kc.has_token && kc.executing));
+        assert_eq!(node1.in_flight.len(), 2);
+
+        drop(guard);
+        drop(clients);
+        let stats = cluster.shutdown();
+        assert_eq!(stats.entries, 3);
+        assert_eq!(stats.node(NodeId(1)).keys_materialized, 3);
+    }
+
+    #[test]
+    fn parked_reentry_keeps_release_then_acquire_order_on_one_shard() {
+        let config = LockSpaceClusterConfig {
+            keys: 4,
+            workers: 2,
+            ..LockSpaceClusterConfig::default()
+        };
+        let (cluster, mut clients) = LockSpaceCluster::start_with(&Tree::star(3), config);
+        // Key 1 is homed at node 1: every acquire finds the token
+        // parked, provided each release reaches the shard before the
+        // acquire that follows it (same inbox, so FIFO).
+        for _ in 0..1_000 {
+            drop(clients[1].lock(LockId(1)).wait().unwrap());
+        }
+        drop(clients);
+        let stats = cluster.shutdown();
+        assert_eq!(stats.entries, 1_000);
+        assert_eq!(stats.messages_total, 0);
+    }
+
+    #[test]
+    fn try_on_a_key_with_an_abandoned_request_in_flight_is_refused() {
+        let (cluster, clients) =
+            LockSpaceCluster::start(&Tree::line(2), 4, Placement::Hub(NodeId(0)));
+        let mut it = clients.into_iter();
+        let mut c0 = it.next().unwrap();
+        let mut c1 = it.next().unwrap();
+
+        let guard = c0.lock(LockId(2)).wait().unwrap();
+        assert_eq!(
+            c1.lock(LockId(2))
+                .timeout(Duration::from_millis(20))
+                .unwrap_err(),
+            LockError::Timeout
+        );
+        // Node 1's REQUEST is still out there: a try must bounce, and
+        // must not disturb the abandoned slot.
+        assert_eq!(
+            c1.lock(LockId(2)).try_now().unwrap_err(),
+            LockError::WouldBlock
+        );
+        drop(guard);
+        // Serializes behind node 1's auto-release bounce.
+        drop(c0.lock(LockId(2)).timeout(Duration::from_secs(5)).unwrap());
+        drop(c0);
+        drop(c1);
+        let stats = cluster.shutdown();
+        assert_eq!(stats.node(NodeId(1)).requests_sent, 1);
+        assert_eq!(stats.node(NodeId(1)).abandoned, 1);
+        assert_eq!(stats.entries, 2);
     }
 
     #[test]

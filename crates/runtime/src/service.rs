@@ -188,8 +188,8 @@ pub(crate) enum AbandonAction {
 
 /// The shared pending/abandon state machine: per-key slots tracking the
 /// local user's outstanding acquisitions. The single-lock node loop
-/// runs it with the one key `LockId(0)`; the lock-space router runs it
-/// across its whole key space. Both therefore expose *identical*
+/// runs it with the one key `LockId(0)`; each lock-space shard thread
+/// runs it across the keys it owns. Both therefore expose *identical*
 /// timeout/abandon/adoption semantics — the uniformity the unified
 /// client API rests on.
 #[derive(Debug, Default)]

@@ -7,19 +7,32 @@
 //! (Chandy & Lamport 1985), leaning on the one network property this
 //! runtime already assumes — per-channel FIFO:
 //!
-//! 1. A node records its own state (per-key DAG instances, the local
-//!    user's held/pending keys, sends still staged in the coalescing
-//!    transport) and then sends a marker on every outgoing channel.
+//! 1. A shard thread records its own state (per-key DAG instances, the
+//!    local user's held/pending keys, sends still staged in the
+//!    coalescing transport) — atomically, between two inputs — and then
+//!    sends a marker on every outgoing channel.
 //! 2. From its cut point until the marker arrives on an incoming
 //!    channel, everything received on that channel is recorded as the
 //!    channel's in-flight state.
-//! 3. A node that sees a marker before any local trigger takes its cut
+//! 3. A shard that sees a marker before any local trigger takes its cut
 //!    right then (that channel records nothing).
 //!
-//! Because every node is asked to snapshot at once (multi-initiator),
-//! each node's cut is triggered by whichever arrives first — the local
-//! request or a peer's marker — and the union of slices is still one
-//! consistent global cut.
+//! Because every shard is asked to snapshot at once (multi-initiator),
+//! each one's cut is triggered by whichever arrives first — the local
+//! request or a peer's marker.
+//!
+//! Channels only connect shard `s` of one node to shard `s` of another
+//! (a *shard plane*: the keys with `k % workers == s`), so the marker
+//! round runs once per plane and the result is **one consistent cut
+//! per shard plane**, not one global instant; a node's `workers` slices
+//! are merged into its [`NodeCut`]. That costs the oracle nothing: a
+//! key never leaves its plane, and everything [`verify`] checks is per
+//! key — the privilege count, the [`KeyedSafetyChecker`], and a held
+//! key against the *same plane's* table. What is no longer captured at
+//! one instant (when `workers > 1`) is one client's `held`/`pending`
+//! set *across* planes, which nothing verifies.
+//!
+//! [`verify`]: LockSpaceSnapshot::verify
 //!
 //! [`LockSpaceSnapshot::verify`] then replays the paper's invariant
 //! against the cut: every key has **exactly one** privilege — parked in
@@ -46,7 +59,8 @@ pub struct KeyCut {
     pub requesting: bool,
 }
 
-/// One node's slice of a consistent cut.
+/// One node's slice of a consistent cut: its shard threads' slices,
+/// merged.
 #[derive(Debug, Clone)]
 pub struct NodeCut {
     /// The node this slice belongs to.
@@ -121,9 +135,9 @@ pub struct SnapshotSummary {
     pub privileges_in_flight: usize,
 }
 
-/// A consistent global cut of a running lock space: one [`NodeCut`]
-/// per node (sorted by node id) plus the placement needed to account
-/// for never-materialized keys.
+/// A consistent cut of a running lock space — per shard plane, see the
+/// [module docs](self): one [`NodeCut`] per node (sorted by node id)
+/// plus the placement needed to account for never-materialized keys.
 #[derive(Debug, Clone)]
 pub struct LockSpaceSnapshot {
     keys: u32,

@@ -8,7 +8,9 @@ use std::time::Duration;
 
 use dagmutex::core::{DagProtocol, LockId};
 use dagmutex::lockspace::{Placement, ScriptedClient, SessionConfig};
-use dagmutex::runtime::{run_script, Cluster, LockService, LockSpaceCluster};
+use dagmutex::runtime::{
+    run_script, Cluster, LockService, LockSpaceCluster, LockSpaceClusterConfig,
+};
 use dagmutex::simnet::{Engine, EngineConfig, Time};
 use dagmutex::topology::{NodeId, Tree};
 use dagmutex::workload::{Outcome, Script};
@@ -120,8 +122,10 @@ fn concurrent_runtime_matches_simulator_entry_count() {
 const TICK: Duration = Duration::from_millis(2);
 
 /// Runs `script` under the simulator and against the threaded
-/// `LockSpaceCluster`, asserting outcome equality; returns the vector
-/// for scenario-specific assertions.
+/// `LockSpaceCluster` — once with one shard thread per node and once
+/// with three, so the keys of a `lock_many` (and a timeout's abandon,
+/// adoption and rollback) span different threads — asserting outcome
+/// equality; returns the vector for scenario-specific assertions.
 fn parity_on(
     tree: &Tree,
     keys: u32,
@@ -140,15 +144,23 @@ fn parity_on(
         .expect("simulated session completes");
     let simulated = monitor.finish().expect("per-key safety holds");
 
-    let (cluster, mut clients) = LockSpaceCluster::start(tree, keys, placement);
-    let threaded = run_script(&mut clients, script, TICK);
-    drop(clients);
-    cluster.shutdown();
+    for workers in [1, 3] {
+        let config = LockSpaceClusterConfig {
+            keys,
+            placement: placement.clone(),
+            workers,
+            ..LockSpaceClusterConfig::default()
+        };
+        let (cluster, mut clients) = LockSpaceCluster::start_with(tree, config);
+        let threaded = run_script(&mut clients, script, TICK);
+        drop(clients);
+        cluster.shutdown();
 
-    assert_eq!(
-        simulated, threaded,
-        "sim and threaded outcomes diverged on {tree:?}"
-    );
+        assert_eq!(
+            simulated, threaded,
+            "sim and threaded ({workers} shards/node) outcomes diverged on {tree:?}"
+        );
+    }
     simulated
 }
 

@@ -110,7 +110,7 @@ proptest! {
         shape in 0usize..3,
         n in 3usize..7,
         keys in 1u32..10,
-        workers in 1usize..3,
+        workers in 1usize..5,
         window in 1u64..5,
         rounds in 4u32..24,
         snapshots in 1usize..4,
