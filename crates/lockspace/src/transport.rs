@@ -9,9 +9,9 @@
 //!
 //! * the simulated [`LockSpace`](crate::LockSpace), which drives flush
 //!   deadlines through the engine's `Ctx::wake_at` timer facility, and
-//! * the threaded `LockSpaceCluster` in `dmx-runtime`, whose per-shard
-//!   worker threads merge their outboxes into one [`Transport`] per
-//!   node and flush through the very same grouping code.
+//! * the threaded `LockSpaceCluster` in `dmx-runtime`, whose shard
+//!   threads each stage into their own [`Transport`] and flush through
+//!   the very same grouping code.
 //!
 //! The transport's [`FlushPolicy`] makes the latency-vs-envelope-count
 //! tradeoff a measured knob instead of a hardwired behavior:
@@ -378,11 +378,12 @@ impl Transport {
         }
     }
 
-    /// Threaded-runtime trigger: `true` when `bursts` merged worker
-    /// outboxes should flush without waiting for channel idle.
+    /// Threaded-runtime trigger: `true` when the sends of `bursts`
+    /// bursts — a burst is one keyed input a shard handled — should
+    /// flush without waiting for channel idle.
     /// `EveryTick` caps at one burst, `Window(k)` at `k`, and
     /// `Adaptive` fires on its staged-per-destination target *or* at
-    /// `max_window` merged bursts — the tickless enforcement of its
+    /// `max_window` bursts — the tickless enforcement of its
     /// bounded-delay contract, so thin batches on a continuously busy
     /// node still leave on time.
     pub fn burst_cap_reached(&self, bursts: u64) -> bool {

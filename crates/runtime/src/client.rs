@@ -34,8 +34,9 @@ use dmx_workload::{AcquireMode, Outcome, Script, SessionOp};
 
 use crate::service::{LockError, Reply};
 
-/// The per-node operations a backend must serve; each backend's node
-/// loop implements this over its own input channel.
+/// The per-node operations a backend must serve: over the node
+/// thread's input channel, or (TCP) by running the node on the calling
+/// thread.
 pub(crate) trait Endpoint: Send {
     /// Submit an acquisition for `key`; the node replies
     /// [`Reply::Granted`] on `ack` when the privilege is local.

@@ -1,6 +1,6 @@
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use dmx_core::{Action, DagMessage, DagNode, LockId};
 use dmx_topology::{NodeId, Tree};
 
@@ -10,7 +10,7 @@ use crate::service::{
 };
 use crate::stats::{ClusterStats, NodeStats};
 
-/// Inputs a node thread processes.
+/// Inputs one node's [`NodeCore::step`] processes.
 pub(crate) enum Input {
     /// Local user wants the critical section; reply on the channel when
     /// the privilege is local.
@@ -21,12 +21,10 @@ pub(crate) enum Input {
     TryAcquire(Sender<Reply>),
     /// Local user left the critical section.
     Release,
-    /// The user gave up waiting ([`LockRequest::timeout`]). The
+    /// The user gave up waiting (a [`crate::LockRequest::timeout`]). The
     /// in-flight REQUEST cannot be recalled (the paper has no cancel
     /// message), so the node releases the privilege the moment it
     /// arrives — unless a new acquisition adopts the request first.
-    ///
-    /// [`LockRequest::timeout`]: crate::LockRequest::timeout
     AbandonAcquire,
     /// A protocol message from a peer.
     Net {
@@ -35,40 +33,171 @@ pub(crate) enum Input {
         /// Payload.
         msg: DagMessage,
     },
-    /// Stop and report stats.
-    Shutdown,
 }
 
-/// The single-lock backends' [`Endpoint`]: every client operation maps
-/// onto one [`Input`] for the node thread (shared by the channel and
-/// TCP clusters, whose node loops are the same [`node_main`]).
-pub(crate) struct ClusterEndpoint {
-    pub(crate) tx: Sender<Input>,
+/// The single lock every slot of the pending machine refers to.
+const KEY: LockId = LockId(0);
+
+/// One node of a single-lock backend, sans IO: the pure [`DagNode`], the
+/// local user's [`PendingSet`] pending/abandon machine and the counters.
+/// Whoever holds an [`Input`] runs [`NodeCore::step`] — the node thread
+/// here, the reader and caller threads in [`crate::tcp`].
+#[derive(Debug)]
+pub(crate) struct NodeCore {
+    node: DagNode,
+    pending: PendingSet,
+    /// Reused across steps: the buffered `DagNode` handlers push into
+    /// it, so steady-state message handling allocates nothing.
+    actions: Vec<Action>,
+    stats: NodeStats,
 }
 
-impl Endpoint for ClusterEndpoint {
+impl NodeCore {
+    pub(crate) fn new(node: DagNode) -> Self {
+        NodeCore {
+            node,
+            pending: PendingSet::new(),
+            actions: Vec::new(),
+            stats: NodeStats::default(),
+        }
+    }
+
+    /// Ends the node: its counters remain, its waiters are dropped (a
+    /// blocked acquisition sees [`LockError::ClusterDown`]).
+    pub(crate) fn into_stats(self) -> NodeStats {
+        self.stats
+    }
+
+    /// Drives the state machine with one input, handing every send to
+    /// `transmit(to, from, message)` (channels here, sockets in
+    /// [`crate::tcp`]) and every `Enter` to the pending machine.
+    pub(crate) fn step(
+        &mut self,
+        input: Input,
+        transmit: &mut impl FnMut(NodeId, NodeId, DagMessage),
+    ) {
+        self.actions.clear();
+        match input {
+            Input::Acquire(ack) => match self.pending.acquire(KEY, ack) {
+                // Adopt the still-in-flight request of a timed-out
+                // acquisition: no new messages needed.
+                AcquireAction::Adopted => return,
+                AcquireAction::Issue => {
+                    assert!(!self.node.is_executing(), "Acquire while executing");
+                    self.node.request_into(&mut self.actions);
+                }
+            },
+            Input::TryAcquire(ack) => {
+                // Grant iff the token is parked here, idle, with no
+                // other acquisition engaged. (An abandoned request in
+                // flight implies the token is elsewhere, but check the
+                // slot anyway — it is the machine's source of truth.)
+                let (node, pending) = (&mut self.node, &self.pending);
+                if node.has_token() && !node.is_executing() && !pending.is_engaged(KEY) {
+                    node.request_into(&mut self.actions);
+                    let entered = self.send_all(transmit);
+                    debug_assert!(entered, "a holding idle node enters locally");
+                    self.stats.entries += 1;
+                    let _ = ack.send(Reply::Granted);
+                } else {
+                    let _ = ack.send(Reply::Unavailable);
+                }
+                return;
+            }
+            Input::Release => self.node.exit_into(&mut self.actions),
+            Input::AbandonAcquire => match self.pending.abandon(KEY, self.node.is_executing()) {
+                // Normal case: still waiting; the grant will
+                // auto-release on arrival.
+                AbandonAction::Marked | AbandonAction::Stale => return,
+                // Race: the grant was already delivered but the user
+                // timed out anyway — leave immediately, and count the
+                // entry nobody used as abandoned instead.
+                AbandonAction::ReleaseNow => {
+                    self.stats.entries -= 1;
+                    self.stats.abandoned += 1;
+                    self.node.exit_into(&mut self.actions);
+                }
+            },
+            Input::Net { from, msg } => match msg {
+                DagMessage::Request { from: link, origin } => {
+                    debug_assert_eq!(link, from);
+                    self.node
+                        .receive_request_into(from, origin, &mut self.actions);
+                }
+                DagMessage::Privilege => self.node.receive_privilege_into(&mut self.actions),
+                DagMessage::Initialize => {} // pre-oriented start-up
+            },
+        }
+        if !self.send_all(transmit) {
+            return;
+        }
+        // Entered: hand the critical section to the waiting user, or —
+        // if the user abandoned — bounce straight out again.
+        match self.pending.grant(KEY) {
+            GrantAction::Deliver(ack) => {
+                self.stats.entries += 1;
+                let _ = ack.send(Reply::Granted);
+            }
+            GrantAction::AutoRelease => {
+                self.stats.abandoned += 1;
+                self.actions.clear();
+                self.node.exit_into(&mut self.actions);
+                let entered = self.send_all(transmit);
+                debug_assert!(!entered, "exit never re-enters");
+            }
+        }
+    }
+
+    /// Transmits the buffered sends; `true` if the buffer held an `Enter`.
+    fn send_all(&mut self, transmit: &mut impl FnMut(NodeId, NodeId, DagMessage)) -> bool {
+        let mut entered = false;
+        for action in &self.actions {
+            match *action {
+                Action::Send { to, message } => {
+                    match message {
+                        DagMessage::Request { .. } => self.stats.requests_sent += 1,
+                        DagMessage::Privilege => self.stats.privileges_sent += 1,
+                        DagMessage::Initialize => {}
+                    }
+                    transmit(to, self.node.id(), message);
+                }
+                Action::Enter => entered = true,
+            }
+        }
+        entered
+    }
+}
+
+/// The single-lock backends' [`Endpoint`]: every client operation is one
+/// [`Input`] handed to `submit` — the node thread's channel here, the
+/// node itself in [`crate::tcp`].
+struct InputEndpoint<F>(F);
+
+impl<F: Fn(Input) -> Result<(), LockError> + Send> Endpoint for InputEndpoint<F> {
     fn acquire(&self, _key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        self.tx
-            .send(Input::Acquire(ack))
-            .map_err(|_| LockError::ClusterDown)
+        (self.0)(Input::Acquire(ack))
     }
 
     fn try_acquire(&self, _key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        self.tx
-            .send(Input::TryAcquire(ack))
-            .map_err(|_| LockError::ClusterDown)
+        (self.0)(Input::TryAcquire(ack))
     }
 
     fn abandon(&self, _key: LockId) -> Result<(), LockError> {
-        self.tx
-            .send(Input::AbandonAcquire)
-            .map_err(|_| LockError::ClusterDown)
+        (self.0)(Input::AbandonAcquire)
     }
 
     fn release(&self, _key: LockId) {
         // If the cluster is already gone there is nobody to notify.
-        let _ = self.tx.send(Input::Release);
+        let _ = (self.0)(Input::Release);
     }
+}
+
+/// One single-lock client whose operations go to `submit`.
+pub(crate) fn make_client(
+    node: NodeId,
+    submit: impl Fn(Input) -> Result<(), LockError> + Send + 'static,
+) -> LockClient {
+    LockClient::new(node, 1, Box::new(InputEndpoint(submit)))
 }
 
 /// A running cluster: one thread per tree node executing the DAG
@@ -78,7 +207,8 @@ impl Endpoint for ClusterEndpoint {
 /// See the [crate-level example](crate) for typical usage.
 #[derive(Debug)]
 pub struct Cluster {
-    txs: Vec<Sender<Input>>,
+    /// Each node thread's input channel; `None` tells it to stop.
+    txs: Vec<Sender<Option<Input>>>,
     joins: Vec<JoinHandle<NodeStats>>,
 }
 
@@ -95,27 +225,27 @@ impl Cluster {
         assert!(holder.index() < n, "holder out of range");
         let orientation = tree.orient_toward(holder);
 
-        let channels: Vec<(Sender<Input>, Receiver<Input>)> = (0..n).map(|_| unbounded()).collect();
-        let txs: Vec<Sender<Input>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-
-        let mut joins = Vec::with_capacity(n);
-        for (i, (_, rx)) in channels.into_iter().enumerate() {
+        let (txs, rxs): (Vec<Sender<Option<Input>>>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let (mut joins, mut clients) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (i, rx) in rxs.into_iter().enumerate() {
             let me = NodeId::from_index(i);
-            let node = DagNode::from_orientation(&orientation, me);
-            let peers = txs.clone();
-            let transmit = move |to: NodeId, from: NodeId, msg: DagMessage| {
+            let mut core = NodeCore::new(DagNode::from_orientation(&orientation, me));
+            let (peers, tx) = (txs.clone(), txs[i].clone());
+            joins.push(std::thread::spawn(move || {
                 // A send can only fail during shutdown, when the
                 // counters no longer matter.
-                let _ = peers[to.index()].send(Input::Net { from, msg });
-            };
-            joins.push(std::thread::spawn(move || node_main(node, rx, transmit)));
+                let mut transmit = |to: NodeId, from, msg| {
+                    let _ = peers[to.index()].send(Some(Input::Net { from, msg }));
+                };
+                while let Ok(Some(input)) = rx.recv() {
+                    core.step(input, &mut transmit);
+                }
+                core.into_stats()
+            }));
+            clients.push(make_client(me, move |input| {
+                tx.send(Some(input)).map_err(|_| LockError::ClusterDown)
+            }));
         }
-
-        let clients = txs
-            .iter()
-            .enumerate()
-            .map(|(i, tx)| make_client(NodeId::from_index(i), tx.clone()))
-            .collect();
         (Cluster { txs, joins }, clients)
     }
 
@@ -133,18 +263,14 @@ impl Cluster {
     /// Stops every node thread and returns the aggregated counters.
     ///
     /// Outstanding [`LockGuard`](crate::LockGuard)s should be dropped
-    /// first; a lock request issued after shutdown fails with
-    /// [`LockError::ClusterDown`].
+    /// first; a lock request issued after shutdown, or still waiting
+    /// when it happens, fails with [`LockError::ClusterDown`].
     pub fn shutdown(self) -> ClusterStats {
         for tx in &self.txs {
-            let _ = tx.send(Input::Shutdown);
+            let _ = tx.send(None);
         }
-        let per_node: Vec<NodeStats> = self
-            .joins
-            .into_iter()
-            .map(|j| j.join().expect("node thread panicked"))
-            .collect();
-        ClusterStats::from_nodes(per_node)
+        let join = |j: JoinHandle<NodeStats>| j.join().expect("node thread panicked");
+        ClusterStats::from_nodes(self.joins.into_iter().map(join).collect())
     }
 }
 
@@ -164,167 +290,8 @@ impl LockService for Cluster {
     }
 }
 
-/// One single-lock client over a node thread's input channel (shared by
-/// the channel and TCP clusters).
-pub(crate) fn make_client(node: NodeId, tx: Sender<Input>) -> LockClient {
-    LockClient::new(node, 1, Box::new(ClusterEndpoint { tx }))
-}
-
-/// The per-node event loop: drives the pure state machine, handing its
-/// sends to `transmit` (channels here, sockets in [`crate::tcp`]), and
-/// the local user's acquisitions through the shared
-/// [`PendingSet`] pending/abandon machine.
-pub(crate) fn node_main<F>(mut node: DagNode, rx: Receiver<Input>, transmit: F) -> NodeStats
-where
-    F: Fn(NodeId, NodeId, DagMessage),
-{
-    /// The single lock every slot of the pending machine refers to.
-    const KEY: LockId = LockId(0);
-
-    let me = node.id();
-    let mut stats = NodeStats::default();
-    let mut pending = PendingSet::new();
-    // Reused across the whole loop: the buffered DagNode handlers push
-    // into it, so steady-state message handling allocates nothing.
-    let mut actions: Vec<Action> = Vec::new();
-
-    fn send_all<F: Fn(NodeId, NodeId, DagMessage)>(
-        actions: &[Action],
-        me: NodeId,
-        stats: &mut NodeStats,
-        transmit: &F,
-    ) -> bool {
-        let mut entered = false;
-        for action in actions {
-            match *action {
-                Action::Send { to, message } => {
-                    match message {
-                        DagMessage::Request { .. } => stats.requests_sent += 1,
-                        DagMessage::Privilege => stats.privileges_sent += 1,
-                        DagMessage::Initialize => {}
-                    }
-                    transmit(to, me, message);
-                }
-                Action::Enter => entered = true,
-            }
-        }
-        entered
-    }
-
-    // Resolves an Enter: hand the critical section to the waiting user,
-    // or — if the user abandoned — bounce straight out again. `actions`
-    // is the loop's scratch buffer (its previous contents are spent).
-    fn on_enter<F: Fn(NodeId, NodeId, DagMessage)>(
-        node: &mut DagNode,
-        pending: &mut PendingSet,
-        me: NodeId,
-        stats: &mut NodeStats,
-        transmit: &F,
-        actions: &mut Vec<Action>,
-    ) {
-        match pending.grant(KEY) {
-            GrantAction::Deliver(ack) => {
-                stats.entries += 1;
-                let _ = ack.send(Reply::Granted);
-            }
-            GrantAction::AutoRelease => {
-                stats.abandoned += 1;
-                actions.clear();
-                node.exit_into(actions);
-                let entered = send_all(actions, me, stats, transmit);
-                debug_assert!(!entered, "exit never re-enters");
-            }
-        }
-    }
-
-    while let Ok(input) = rx.recv() {
-        match input {
-            Input::Acquire(ack) => match pending.acquire(KEY, ack) {
-                // Adopt the still-in-flight request of a timed-out
-                // acquisition: no new messages needed.
-                AcquireAction::Adopted => {}
-                AcquireAction::Issue => {
-                    assert!(!node.is_executing(), "Acquire while executing");
-                    actions.clear();
-                    node.request_into(&mut actions);
-                    if send_all(&actions, me, &mut stats, &transmit) {
-                        on_enter(
-                            &mut node,
-                            &mut pending,
-                            me,
-                            &mut stats,
-                            &transmit,
-                            &mut actions,
-                        );
-                    }
-                }
-            },
-            Input::TryAcquire(ack) => {
-                // Grant iff the token is parked here, idle, with no
-                // other acquisition engaged. (An abandoned request in
-                // flight implies the token is elsewhere, but check the
-                // slot anyway — it is the machine's source of truth.)
-                if node.has_token() && !node.is_executing() && !pending.is_engaged(KEY) {
-                    actions.clear();
-                    node.request_into(&mut actions);
-                    let entered = send_all(&actions, me, &mut stats, &transmit);
-                    debug_assert!(entered, "a holding idle node enters locally");
-                    stats.entries += 1;
-                    let _ = ack.send(Reply::Granted);
-                } else {
-                    let _ = ack.send(Reply::Unavailable);
-                }
-            }
-            Input::Release => {
-                actions.clear();
-                node.exit_into(&mut actions);
-                let entered = send_all(&actions, me, &mut stats, &transmit);
-                debug_assert!(!entered);
-            }
-            Input::AbandonAcquire => {
-                match pending.abandon(KEY, node.is_executing()) {
-                    // Normal case: still waiting; the grant will
-                    // auto-release on arrival.
-                    AbandonAction::Marked | AbandonAction::Stale => {}
-                    // Race: the grant was already delivered but the
-                    // user timed out anyway — leave immediately.
-                    AbandonAction::ReleaseNow => {
-                        stats.abandoned += 1;
-                        actions.clear();
-                        node.exit_into(&mut actions);
-                        send_all(&actions, me, &mut stats, &transmit);
-                    }
-                }
-            }
-            Input::Net { from, msg } => {
-                actions.clear();
-                match msg {
-                    DagMessage::Request { from: link, origin } => {
-                        debug_assert_eq!(link, from);
-                        node.receive_request_into(from, origin, &mut actions);
-                    }
-                    DagMessage::Privilege => node.receive_privilege_into(&mut actions),
-                    DagMessage::Initialize => {} // pre-oriented start-up
-                }
-                if send_all(&actions, me, &mut stats, &transmit) {
-                    on_enter(
-                        &mut node,
-                        &mut pending,
-                        me,
-                        &mut stats,
-                        &transmit,
-                        &mut actions,
-                    );
-                }
-            }
-            Input::Shutdown => break,
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
@@ -401,6 +368,94 @@ mod tests {
             clients[1].lock(LockId(0)).wait().unwrap_err(),
             LockError::ClusterDown
         );
+    }
+
+    /// On a star with node 1 holding the lock, node 2 blocks in `wait`,
+    /// the service stops, and node 2 must come back with `ClusterDown`.
+    /// Shared with the TCP backend's tests.
+    pub(crate) fn assert_shutdown_fails_a_blocked_waiter<S>(service: S, clients: Vec<LockClient>)
+    where
+        S: LockService<Stats = ClusterStats>,
+    {
+        let mut clients = clients.into_iter().skip(1);
+        let (mut c1, mut c2) = (clients.next().unwrap(), clients.next().unwrap());
+        let guard = c1.lock(LockId(0)).wait().unwrap();
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let waiter = std::thread::spawn(move || {
+            let _ = tx.send(c2.lock(LockId(0)).wait().map(drop));
+        });
+        // Let node 2's acquisition register behind the held lock. (Should
+        // shutdown win the race instead, the answer is the same error.)
+        std::thread::sleep(Duration::from_millis(50));
+        let stats = service.shutdown();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(Err(LockError::ClusterDown)),
+            "shutdown must not strand a blocked waiter"
+        );
+        waiter.join().unwrap();
+        drop(guard); // releasing into a stopped cluster is a no-op
+        assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn waiter_blocked_across_shutdown_gets_cluster_down() {
+        let (cluster, clients) = Cluster::start(&Tree::star(3), NodeId(1));
+        assert_shutdown_fails_a_blocked_waiter(cluster, clients);
+    }
+
+    #[test]
+    fn node_core_steps_a_hand_off_without_any_io() {
+        let orientation = Tree::line(3).orient_toward(NodeId(0));
+        let mut cores: Vec<NodeCore> = (0..3)
+            .map(|i| NodeCore::new(DagNode::from_orientation(&orientation, NodeId(i))))
+            .collect();
+        // Runs one input through `node` and returns what it transmitted.
+        let mut step = |node: usize, input: Input| {
+            let mut sent = Vec::new();
+            cores[node].step(input, &mut |to, from, msg| sent.push((to, from, msg)));
+            sent
+        };
+        let request = |from: u32| DagMessage::Request {
+            from: NodeId(from),
+            origin: NodeId(2),
+        };
+        let net = |from: u32, msg: DagMessage| Input::Net {
+            from: NodeId(from),
+            msg,
+        };
+
+        // Node 2 asks: the REQUEST walks the line to the holder, the
+        // PRIVILEGE comes straight back to the origin.
+        let (ack, granted) = crossbeam::channel::bounded(1);
+        assert_eq!(
+            step(2, Input::Acquire(ack)),
+            [(NodeId(1), NodeId(2), request(2))]
+        );
+        assert_eq!(
+            step(1, net(2, request(2))),
+            [(NodeId(0), NodeId(1), request(1))]
+        );
+        assert_eq!(
+            step(0, net(1, request(1))),
+            [(NodeId(2), NodeId(0), DagMessage::Privilege)]
+        );
+        assert!(granted.try_recv().is_err(), "not granted before the token");
+        assert_eq!(step(2, net(0, DagMessage::Privilege)), []);
+        assert_eq!(granted.try_recv(), Ok(Reply::Granted));
+        // Exit with nobody queued: the token parks, nothing is sent.
+        assert_eq!(step(2, Input::Release), []);
+
+        // A try succeeds exactly where the token is parked.
+        for (node, reply) in [(2, Reply::Granted), (0, Reply::Unavailable)] {
+            let (ack, answer) = crossbeam::channel::bounded(1);
+            assert_eq!(step(node, Input::TryAcquire(ack)), []);
+            assert_eq!(answer.try_recv(), Ok(reply));
+        }
+        let stats: Vec<NodeStats> = cores.into_iter().map(NodeCore::into_stats).collect();
+        assert_eq!((stats[2].requests_sent, stats[2].entries), (1, 2));
+        assert_eq!((stats[1].requests_sent, stats[1].entries), (1, 0));
+        assert_eq!((stats[0].privileges_sent, stats[0].entries), (1, 0));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!
 //! * [`Cluster`] — one OS thread per tree node, crossbeam channels
 //!   (per-sender FIFO, the paper's only network assumption);
-//! * [`tcp::TcpCluster`] — the same node loop over loopback sockets;
+//! * [`tcp::TcpCluster`] — the same `NodeCore::step` over loopback
+//!   sockets, with no node thread: the socket readers and the callers
+//!   themselves run it;
 //! * [`LockSpaceCluster`] — the sharded multi-key lock service:
 //!   shared-nothing shard threads (`workers` per node), each running
 //!   the per-key handlers inline over the simulator's coalescing

@@ -1,6 +1,7 @@
 //! The unified client-facing lock API: one [`LockService`] trait, one
 //! [`LockError`], and the shared pending/abandon state machine every
-//! backend's node loop runs.
+//! backend runs (the single-lock backends inside the same
+//! `NodeCore::step`, the lock space inside its shard loop).
 //!
 //! Three runtimes serve the same distributed lock — the channel-based
 //! [`Cluster`](crate::Cluster), the sharded multi-key
@@ -187,11 +188,11 @@ pub(crate) enum AbandonAction {
 }
 
 /// The shared pending/abandon state machine: per-key slots tracking the
-/// local user's outstanding acquisitions. The single-lock node loop
-/// runs it with the one key `LockId(0)`; each lock-space shard thread
-/// runs it across the keys it owns. Both therefore expose *identical*
-/// timeout/abandon/adoption semantics — the uniformity the unified
-/// client API rests on.
+/// local user's outstanding acquisitions. The single-lock backends'
+/// `NodeCore::step` runs it with the one key `LockId(0)`; each
+/// lock-space shard thread runs it across the keys it owns. Both
+/// therefore expose *identical* timeout/abandon/adoption semantics —
+/// the uniformity the unified client API rests on.
 #[derive(Debug, Default)]
 pub(crate) struct PendingSet {
     /// Outstanding slots. At most one [`Pending::Waiting`] at any time

@@ -1,6 +1,6 @@
 use dmx_topology::NodeId;
 
-/// Counters one node thread accumulates over its lifetime.
+/// Counters one node accumulates over its lifetime.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// `REQUEST` messages sent by this node.

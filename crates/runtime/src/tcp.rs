@@ -4,11 +4,31 @@
 //! fixed 9-byte frames over lazily established, cached connections. TCP
 //! gives exactly the guarantees the paper's network model demands —
 //! reliable delivery and per-connection FIFO — so the unchanged
-//! [`DagNode`](dmx_core::DagNode) state machine runs correctly on top.
-//!
-//! This is the deployment-shaped embodiment; for measurements use the
-//! deterministic simulator (`dmx-simnet`), and for cheap in-process
+//! [`DagNode`] state machine runs correctly on top.
+//! This is the deployment-shaped embodiment; for cheap in-process
 //! locking use the channel-based [`Cluster`](crate::Cluster).
+//!
+//! # Threading
+//!
+//! A node has no thread of its own: it is a mutex around its `NodeCore`
+//! and its outgoing connections, and whichever thread holds an input
+//! runs `NodeCore::step` under that mutex, writing the resulting frames
+//! itself. A [`LockClient`] operation runs on the caller's thread (a
+//! re-acquire of a parked token never leaves it), a frame on the reader
+//! thread of the connection it arrived on — a protocol hop is one
+//! `write` and one wake-up.
+//!
+//! * *Per-link FIFO*: every frame from `a` to `b` is written under
+//!   `a`'s mutex to the one cached `a → b` connection, which one reader
+//!   owns at `b`.
+//! * *No deadlock*: a thread holds at most one node mutex, across `step`
+//!   and its `write`s only, and a `write` needs nothing from the
+//!   receiver — nor can it fill a socket buffer, with at most `n`
+//!   REQUESTs and one PRIVILEGE (9 bytes each) in flight.
+//! * *[`TcpCluster::shutdown`]* marks every node down under its mutex,
+//!   so later client operations and acquisitions still waiting fail
+//!   with [`LockError::ClusterDown`], and returns once the accept loops
+//!   and every reader thread are joined.
 //!
 //! # Wire format
 //!
@@ -20,64 +40,104 @@
 //!
 //! The REQUEST frame carries exactly the paper's two integers; the
 //! PRIVILEGE frame carries none (the id/origin fields are transport
-//! addressing, present in every frame).
+//! addressing, present in every frame). An unknown tag or an id outside
+//! the cluster closes the connection before the frame reaches the node.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Sender};
-use dmx_core::DagMessage;
+use dmx_core::{DagMessage, DagNode};
 use dmx_topology::{NodeId, Tree};
 use parking_lot::Mutex;
 
 use crate::client::LockClient;
-use crate::cluster::{make_client, node_main, Input};
-use crate::service::LockService;
-use crate::stats::{ClusterStats, NodeStats};
+use crate::cluster::{make_client, Input, NodeCore};
+use crate::service::{LockError, LockService};
+use crate::stats::ClusterStats;
 
 const TAG_REQUEST: u8 = 0;
 const TAG_PRIVILEGE: u8 = 1;
 const FRAME_LEN: usize = 9;
 
 fn encode(from: NodeId, msg: &DagMessage) -> [u8; FRAME_LEN] {
-    let mut frame = [0u8; FRAME_LEN];
-    match msg {
+    let (tag, origin) = match msg {
         DagMessage::Request { from: link, origin } => {
             debug_assert_eq!(*link, from);
-            frame[0] = TAG_REQUEST;
-            frame[1..5].copy_from_slice(&from.0.to_le_bytes());
-            frame[5..9].copy_from_slice(&origin.0.to_le_bytes());
+            (TAG_REQUEST, origin.0)
         }
-        DagMessage::Privilege => {
-            frame[0] = TAG_PRIVILEGE;
-            frame[1..5].copy_from_slice(&from.0.to_le_bytes());
-        }
+        DagMessage::Privilege => (TAG_PRIVILEGE, 0),
         DagMessage::Initialize => unreachable!("TCP clusters start pre-oriented"),
-    }
+    };
+    let mut frame = [tag; FRAME_LEN];
+    frame[1..5].copy_from_slice(&from.0.to_le_bytes());
+    frame[5..9].copy_from_slice(&origin.to_le_bytes());
     frame
 }
 
-fn decode(frame: &[u8; FRAME_LEN]) -> io::Result<(NodeId, DagMessage)> {
-    let from = NodeId(u32::from_le_bytes(frame[1..5].try_into().expect("4 bytes")));
-    let origin = NodeId(u32::from_le_bytes(frame[5..9].try_into().expect("4 bytes")));
+/// Decodes a frame read off the wire of an `n`-node cluster; a tag or
+/// node id no such cluster sends is `InvalidData`.
+fn decode(frame: &[u8; FRAME_LEN], n: usize) -> io::Result<(NodeId, DagMessage)> {
+    let id = |at| NodeId(u32::from_le_bytes(std::array::from_fn(|i| frame[at + i])));
+    let (from, origin) = (id(1), id(5));
+    let invalid = |what| Err(io::Error::new(io::ErrorKind::InvalidData, what));
     match frame[0] {
+        _ if from.index() >= n || origin.index() >= n => {
+            invalid(format!("{from} / {origin} outside the {n}-node cluster"))
+        }
         TAG_REQUEST => Ok((from, DagMessage::Request { from, origin })),
         TAG_PRIVILEGE => Ok((from, DagMessage::Privilege)),
-        tag => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad frame tag {tag}"),
-        )),
+        tag => invalid(format!("bad frame tag {tag}")),
     }
 }
+
+/// One node: its protocol state and its side of the sockets, behind the
+/// mutex every thread with an input for it takes (see the module docs).
+#[derive(Debug)]
+struct TcpNode {
+    /// `None` once the cluster is shut down.
+    core: Option<NodeCore>,
+    /// Cached connection to each peer, established on first send.
+    outgoing: Vec<Option<TcpStream>>,
+    addrs: Arc<[SocketAddr]>,
+}
+
+impl TcpNode {
+    /// Runs `input` through the node on the calling thread, writing the
+    /// frames it produces.
+    fn step(&mut self, input: Input) -> Result<(), LockError> {
+        let core = self.core.as_mut().ok_or(LockError::ClusterDown)?;
+        let (outgoing, addrs) = (&mut self.outgoing, &self.addrs);
+        core.step(input, &mut |to: NodeId, from, msg| {
+            let (slot, frame) = (&mut outgoing[to.index()], encode(from, &msg));
+            // Lazily connect, retrying once on a stale cached stream.
+            for _ in 0..2 {
+                if slot.is_none() {
+                    let Ok(stream) = TcpStream::connect(addrs[to.index()]) else {
+                        return; // peer gone: shutdown in progress
+                    };
+                    let _ = stream.set_nodelay(true);
+                    *slot = Some(stream);
+                }
+                if slot.as_mut().is_some_and(|s| s.write_all(&frame).is_ok()) {
+                    return;
+                }
+                *slot = None;
+            }
+        });
+        Ok(())
+    }
+}
+
+/// An accepted connection: a handle that unblocks its reader, and the reader.
+type Reader = (TcpStream, JoinHandle<()>);
 
 /// A running cluster whose nodes exchange the paper's messages over
 /// loopback TCP. API mirrors [`Cluster`](crate::Cluster): the same
 /// [`LockClient`] with the same try/timeout/deadline machinery, since
-/// both runtimes share one node loop (and therefore one pending/abandon
-/// state machine).
+/// both runtimes drive the same `NodeCore::step` (and therefore one
+/// pending/abandon state machine).
 ///
 /// # Examples
 ///
@@ -96,15 +156,13 @@ fn decode(frame: &[u8; FRAME_LEN]) -> io::Result<(NodeId, DagMessage)> {
 /// ```
 #[derive(Debug)]
 pub struct TcpCluster {
-    txs: Vec<Sender<Input>>,
-    node_joins: Vec<JoinHandle<NodeStats>>,
-    accept_joins: Vec<JoinHandle<()>>,
-    addrs: Vec<SocketAddr>,
-    stop: Arc<AtomicBool>,
+    nodes: Vec<Arc<Mutex<TcpNode>>>,
+    accept_joins: Vec<JoinHandle<Vec<Reader>>>,
+    addrs: Arc<[SocketAddr]>,
 }
 
 impl TcpCluster {
-    /// Binds one loopback listener per node, spawns the node threads,
+    /// Binds one loopback listener per node, spawns the accept loops,
     /// and returns the cluster plus one [`LockClient`] per node. The
     /// single lock is `LockId(0)`.
     ///
@@ -119,79 +177,38 @@ impl TcpCluster {
         let n = tree.len();
         assert!(holder.index() < n, "holder out of range");
         let orientation = tree.orient_toward(holder);
-        let stop = Arc::new(AtomicBool::new(false));
 
         // Bind all listeners first so every address is known before any
         // node starts sending.
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(listener.local_addr()?);
-            listeners.push(listener);
-        }
+        let listeners = (0..n)
+            .map(|_| TcpListener::bind("127.0.0.1:0"))
+            .collect::<io::Result<Vec<_>>>()?;
+        let addrs = listeners
+            .iter()
+            .map(TcpListener::local_addr)
+            .collect::<io::Result<Arc<[_]>>>()?;
 
-        let channels: Vec<_> = (0..n).map(|_| unbounded::<Input>()).collect();
-        let txs: Vec<Sender<Input>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-
-        // Accept loops: every inbound connection gets a reader thread
-        // that decodes frames into the node's input channel.
-        let mut accept_joins = Vec::with_capacity(n);
+        let (mut nodes, mut accept_joins, mut clients) = (Vec::new(), Vec::new(), Vec::new());
         for (i, listener) in listeners.into_iter().enumerate() {
-            let tx = txs[i].clone();
-            let stop = Arc::clone(&stop);
-            accept_joins.push(std::thread::spawn(move || accept_loop(listener, tx, stop)));
-        }
-
-        // Node threads: sends go over cached outgoing connections.
-        let mut node_joins = Vec::with_capacity(n);
-        for (i, (_, rx)) in channels.into_iter().enumerate() {
             let me = NodeId::from_index(i);
-            let node = dmx_core::DagNode::from_orientation(&orientation, me);
-            let peers = addrs.clone();
-            let outgoing: Arc<Mutex<Vec<Option<TcpStream>>>> =
-                Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-            let transmit = move |to: NodeId, from: NodeId, msg: DagMessage| {
-                let frame = encode(from, &msg);
-                let mut slots = outgoing.lock();
-                // Lazily connect, retrying once on a stale cached stream.
-                for attempt in 0..2 {
-                    if slots[to.index()].is_none() {
-                        match TcpStream::connect(peers[to.index()]) {
-                            Ok(stream) => {
-                                let _ = stream.set_nodelay(true);
-                                slots[to.index()] = Some(stream);
-                            }
-                            Err(_) => return, // peer gone: shutdown in progress
-                        }
-                    }
-                    let ok = slots[to.index()]
-                        .as_mut()
-                        .map(|s| s.write_all(&frame).is_ok())
-                        .unwrap_or(false);
-                    if ok {
-                        return;
-                    }
-                    slots[to.index()] = None;
-                    let _ = attempt;
-                }
-            };
-            node_joins.push(std::thread::spawn(move || node_main(node, rx, transmit)));
+            let node = Arc::new(Mutex::new(TcpNode {
+                core: Some(NodeCore::new(DagNode::from_orientation(&orientation, me))),
+                outgoing: (0..n).map(|_| None).collect(),
+                addrs: Arc::clone(&addrs),
+            }));
+            // Every inbound connection gets a reader thread that runs
+            // its frames through the node.
+            let (inbox, local) = (Arc::clone(&node), Arc::clone(&node));
+            accept_joins.push(std::thread::spawn(move || accept_loop(listener, inbox)));
+            clients.push(make_client(me, move |input| local.lock().step(input)));
+            nodes.push(node);
         }
-
-        let clients = (0..n)
-            .map(|i| make_client(NodeId::from_index(i), txs[i].clone()))
-            .collect();
-        Ok((
-            TcpCluster {
-                txs,
-                node_joins,
-                accept_joins,
-                addrs,
-                stop,
-            },
-            clients,
-        ))
+        let cluster = TcpCluster {
+            nodes,
+            accept_joins,
+            addrs,
+        };
+        Ok((cluster, clients))
     }
 
     /// The loopback address node `node` listens on.
@@ -205,32 +222,36 @@ impl TcpCluster {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.txs.len()
+        self.nodes.len()
     }
 
     /// `true` for a cluster with no nodes — consistent with
     /// [`TcpCluster::len`].
     pub fn is_empty(&self) -> bool {
-        self.txs.is_empty()
+        self.nodes.is_empty()
     }
 
-    /// Stops node threads and listeners, returning aggregated counters.
+    /// Stops nodes, listeners and reader threads, returning aggregated
+    /// counters. A lock request issued afterwards, or still waiting,
+    /// fails with [`LockError::ClusterDown`].
     pub fn shutdown(self) -> ClusterStats {
-        for tx in &self.txs {
-            let _ = tx.send(Input::Shutdown);
-        }
-        let per_node: Vec<NodeStats> = self
-            .node_joins
-            .into_iter()
-            .map(|j| j.join().expect("node thread panicked"))
-            .collect();
-        // Unblock the accept loops with one dummy connection each.
-        self.stop.store(true, Ordering::SeqCst);
-        for addr in &self.addrs {
+        let down = |node: &Arc<Mutex<TcpNode>>| {
+            let mut node = node.lock();
+            node.outgoing.clear(); // clients keep the node alive, not its sockets
+            let core = node.core.take().expect("shutdown consumes the cluster");
+            core.into_stats() // its waiters drop here: they see ClusterDown
+        };
+        let per_node = self.nodes.iter().map(down).collect();
+        // Unblock the accept loops with one dummy connection each, and
+        // the readers by closing their connections.
+        for addr in self.addrs.iter() {
             let _ = TcpStream::connect(addr);
         }
-        for j in self.accept_joins {
-            let _ = j.join();
+        for accept in self.accept_joins {
+            for (stream, reader) in accept.join().expect("accept loop panicked") {
+                let _ = stream.shutdown(Shutdown::Both);
+                reader.join().expect("reader thread panicked");
+            }
         }
         ClusterStats::from_nodes(per_node)
     }
@@ -252,30 +273,42 @@ impl LockService for TcpCluster {
     }
 }
 
-fn accept_loop(listener: TcpListener, tx: Sender<Input>, stop: Arc<AtomicBool>) {
+/// Spawns a reader per inbound connection until the node is down.
+fn accept_loop(listener: TcpListener, node: Arc<Mutex<TcpNode>>) -> Vec<Reader> {
+    let mut readers: Vec<Reader> = Vec::new();
     for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
+        let Ok(stream) = stream else { break };
+        if node.lock().core.is_none() {
             break;
         }
-        let Ok(stream) = stream else { break };
-        let tx = tx.clone();
-        std::thread::spawn(move || reader_loop(stream, tx));
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        readers.retain(|(_, reader)| !reader.is_finished());
+        let inbox = Arc::clone(&node);
+        readers.push((
+            handle,
+            std::thread::spawn(move || reader_loop(stream, &inbox)),
+        ));
     }
+    readers
 }
 
-fn reader_loop(mut stream: TcpStream, tx: Sender<Input>) {
+/// Runs every frame of one inbound connection through `node`, until the
+/// peer closes it, a frame fails [`decode`], or the node is down.
+fn reader_loop(mut stream: TcpStream, node: &Mutex<TcpNode>) {
+    let n = node.lock().addrs.len();
     let mut frame = [0u8; FRAME_LEN];
-    loop {
-        if stream.read_exact(&mut frame).is_err() {
-            return; // peer closed: normal during shutdown
-        }
-        let Ok((from, msg)) = decode(&frame) else {
-            return;
+    while stream.read_exact(&mut frame).is_ok() {
+        let Ok((from, msg)) = decode(&frame, n) else {
+            break;
         };
-        if tx.send(Input::Net { from, msg }).is_err() {
-            return; // node thread gone
+        if node.lock().step(Input::Net { from, msg }).is_err() {
+            break;
         }
     }
+    // The accept loop holds a second handle: close explicitly.
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
@@ -283,6 +316,7 @@ mod tests {
     use super::*;
     use dmx_core::LockId;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn frame_round_trip() {
@@ -291,12 +325,28 @@ mod tests {
             origin: NodeId(250),
         };
         let frame = encode(NodeId(3), &req);
-        assert_eq!(decode(&frame).unwrap(), (NodeId(3), req));
+        assert_eq!(decode(&frame, 251).unwrap(), (NodeId(3), req));
+        // Ids are checked against the cluster size: origin, then sender.
+        assert_eq!(
+            decode(&frame, 250).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert!(decode(&frame, 3).is_err());
         let frame = encode(NodeId(7), &DagMessage::Privilege);
-        assert_eq!(decode(&frame).unwrap(), (NodeId(7), DagMessage::Privilege));
+        assert_eq!(
+            decode(&frame, 8).unwrap(),
+            (NodeId(7), DagMessage::Privilege)
+        );
+        assert!(decode(&frame, 7).is_err());
         let mut bad = [0u8; FRAME_LEN];
         bad[0] = 9;
-        assert!(decode(&bad).is_err());
+        assert_eq!(
+            decode(&bad, 1).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        bad[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        bad[0] = TAG_REQUEST;
+        assert!(decode(&bad, 1).is_err());
     }
 
     #[test]
@@ -373,6 +423,105 @@ mod tests {
 
         assert_eq!(tcp_stats.messages_total, chan_stats.messages_total);
         assert_eq!(tcp_stats.entries, chan_stats.entries);
+    }
+
+    #[test]
+    fn lock_after_shutdown_errors_over_tcp() {
+        let (cluster, mut clients) = TcpCluster::start(&Tree::line(2), NodeId(0)).unwrap();
+        cluster.shutdown();
+        for client in &mut clients {
+            assert_eq!(
+                client.lock(LockId(0)).wait().unwrap_err(),
+                LockError::ClusterDown
+            );
+            assert_eq!(
+                client.lock(LockId(0)).try_now().unwrap_err(),
+                LockError::ClusterDown
+            );
+        }
+    }
+
+    #[test]
+    fn waiter_blocked_across_shutdown_gets_cluster_down() {
+        let (cluster, clients) = TcpCluster::start(&Tree::star(3), NodeId(1)).unwrap();
+        crate::cluster::tests::assert_shutdown_fails_a_blocked_waiter(cluster, clients);
+    }
+
+    #[test]
+    fn hostile_frame_is_dropped_and_the_cluster_keeps_serving() {
+        let (cluster, mut clients) = TcpCluster::start(&Tree::star(4), NodeId(1)).unwrap();
+        let mut bad_tag = [0u8; FRAME_LEN];
+        bad_tag[0] = 9;
+        let mut bad_origin = encode(NodeId(0), &DagMessage::Privilege);
+        bad_origin[0] = TAG_REQUEST;
+        bad_origin[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        for frame in [bad_tag, bad_origin] {
+            let mut raw = TcpStream::connect(cluster.addr(NodeId(2))).unwrap();
+            raw.write_all(&frame).unwrap();
+            // The reader hangs up on the connection: end of stream.
+            assert!(matches!(raw.read(&mut [0u8; 1]), Ok(0) | Err(_)));
+        }
+        drop(clients[2].lock(LockId(0)).wait().unwrap());
+        // A stranger that connects and says nothing must not hold up
+        // shutdown either.
+        let _idle = TcpStream::connect(cluster.addr(NodeId(0))).unwrap();
+        let stats = cluster.shutdown();
+        assert_eq!(stats.entries, 1);
+        assert_eq!(stats.messages_total, 3, "the hostile frames sent nothing");
+    }
+
+    #[test]
+    fn storm_with_timeouts_never_double_enters_or_wedges_the_token() {
+        const ROUNDS: usize = 2_000;
+        let (cluster, mut clients) = TcpCluster::start(&Tree::kary(7, 2), NodeId(0)).unwrap();
+        let inside = AtomicBool::new(false);
+        let (guards, timeouts) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|scope| {
+            for client in &mut clients {
+                let (inside, guards, timeouts) = (&inside, &guards, &timeouts);
+                scope.spawn(move || {
+                    // One impatient node, so abandon / adopt / release-now
+                    // race the reader threads' grants.
+                    let impatient = client.node() == NodeId(3);
+                    for round in 0..ROUNDS {
+                        let request = client.lock(LockId(0));
+                        let guard = if impatient {
+                            request.timeout(Duration::from_micros(50))
+                        } else {
+                            request.wait()
+                        };
+                        match guard {
+                            Ok(guard) => {
+                                assert!(!inside.swap(true, Ordering::SeqCst), "double entry");
+                                guards.fetch_add(1, Ordering::Relaxed);
+                                inside.store(false, Ordering::SeqCst);
+                                drop(guard);
+                            }
+                            Err(LockError::Timeout) => {
+                                timeouts.fetch_add(1, Ordering::Relaxed);
+                                // Half the time, let the grant arrive
+                                // unclaimed instead of adopting it.
+                                if round % 2 == 0 {
+                                    std::thread::sleep(Duration::from_micros(300));
+                                }
+                            }
+                            Err(e) => panic!("storm acquisition failed: {e}"),
+                        }
+                    }
+                });
+            }
+        });
+        // No wedged token: every node can still take the lock.
+        for client in &mut clients {
+            drop(client.lock(LockId(0)).wait().unwrap());
+            guards.fetch_add(1, Ordering::Relaxed);
+        }
+        let stats = cluster.shutdown();
+        let timeouts = timeouts.into_inner();
+        assert!(timeouts > 0, "the impatient node never timed out");
+        assert_eq!(stats.entries, guards.into_inner());
+        let abandoned: u64 = stats.per_node.iter().map(|n| n.abandoned).sum();
+        assert!(abandoned <= timeouts, "{abandoned} abandoned > {timeouts}");
     }
 
     #[test]
