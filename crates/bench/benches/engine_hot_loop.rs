@@ -71,40 +71,11 @@ fn bench_scheduler_comparison(c: &mut Criterion) {
     group.finish();
 }
 
-/// The wheel-tuning probe lane: the 64-slot wheel vs the 256-slot
-/// level-0 variant on the Uniform-latency DAG cell — the regime the
-/// ROADMAP flagged as the wider wheel's best case.
-fn bench_wheel_probe(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_hot_loop/wheel_probe");
-    group.sample_size(10);
-    let (label, latency) = LATENCY_CELLS[1]; // uniform-1-9
-    for scheduler in [Scheduler::Wheel, Scheduler::Wheel256] {
-        let tag = scheduler.resolve(latency, latency).name();
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("dag@127/{label}/{tag}")),
-            &scheduler,
-            |b, &scheduler| {
-                b.iter(|| {
-                    hot_loop::measure_cell(
-                        black_box(Algorithm::Dag),
-                        127,
-                        200,
-                        scheduler,
-                        label,
-                        latency,
-                    )
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench, bench_scheduler_comparison, bench_wheel_probe
+    targets = bench, bench_scheduler_comparison
 }
 criterion_main!(benches);

@@ -237,23 +237,6 @@ pub fn run_suite() -> Vec<HotLoopMeasurement> {
             }
         }
     }
-    // The ROADMAP's wheel-tuning probe: one 256-slot-level-0 cell on
-    // the Uniform sweep (where wider slots mean 4× fewer bucket
-    // rotations), directly comparable to the wheel/heap uniform-1-9
-    // cells at n = 127 above. Kept as a probe — Auto only adopts the
-    // wide wheel if these numbers say it wins.
-    {
-        let (label, latency) = LATENCY_CELLS[1];
-        let rounds = rounds_for(Algorithm::Dag, 127);
-        results.push(timed_cell(
-            Algorithm::Dag,
-            127,
-            rounds,
-            Scheduler::Wheel256,
-            label,
-            latency,
-        ));
-    }
     results
 }
 

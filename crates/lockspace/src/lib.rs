@@ -13,6 +13,11 @@
 //!
 //! * [`LockTable`] — each node's sharded `LockId -> DagNode` map, lazily
 //!   materialized so untouched keys cost nothing;
+//! * [`KeyAgent`] — one node's sans-IO per-key logic for every
+//!   claim-driven driver (the session below and all three threaded
+//!   backends of `dmx-runtime`): materialize the instance, run one
+//!   handler, resolve the grant against the local claim (waiting /
+//!   abandoned / adopted), emitting [`AgentEvent`]s;
 //! * [`Envelope`] — the wire format: one delivery carries one keyed
 //!   message, or (batching on) *many keys'* messages for the same
 //!   destination, with pooled payload buffers so the steady-state hot
@@ -71,6 +76,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod agent;
 mod envelope;
 pub mod parallel;
 pub mod session;
@@ -78,6 +84,7 @@ mod space;
 mod table;
 pub mod transport;
 
+pub use agent::{Abandon, AgentEvent, Claim, KeyAgent};
 pub use envelope::{Envelope, BATCH_HEADER_BYTES};
 pub use parallel::{ParallelConfig, ParallelEngine, ParallelReport, ShardMap, WindowPolicy};
 pub use session::{ScriptedClient, SessionConfig, SessionMonitor};

@@ -92,7 +92,7 @@ use std::time::Instant;
 use dmx_core::{Action, DagMessage, DagNode, KeyedDagMessage, LockId};
 use dmx_simnet::checker::{KeyedSafetyChecker, KeyedViolation};
 use dmx_simnet::metrics::{KeyedMetrics, KeyedRollup};
-use dmx_simnet::sched::{EventQueue, HeapQueue, SchedBackend, Wheel256Queue, WheelQueue};
+use dmx_simnet::sched::{ActiveQueue, EventQueue};
 use dmx_simnet::{LatencyModel, MessageMeta, Scheduler, Time};
 use dmx_topology::{NodeId, Tree};
 use dmx_workload::PacedKeyDemand;
@@ -536,51 +536,6 @@ struct EnvRecord {
     payload: u64,
 }
 
-/// The shard engines' event queue: static dispatch over the simnet
-/// backends, selected once per run.
-enum Queue {
-    Heap(HeapQueue<Ev>),
-    Wheel(WheelQueue<Ev>),
-    Wheel256(Wheel256Queue<Ev>),
-}
-
-impl Queue {
-    fn for_backend(backend: SchedBackend) -> Self {
-        match backend {
-            SchedBackend::Heap => Queue::Heap(HeapQueue::new()),
-            SchedBackend::Wheel => Queue::Wheel(WheelQueue::new()),
-            SchedBackend::Wheel256 => Queue::Wheel256(Wheel256Queue::new()),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, at: Time, seq: u64, ev: Ev) {
-        match self {
-            Queue::Heap(q) => q.push(at, seq, ev),
-            Queue::Wheel(q) => q.push(at, seq, ev),
-            Queue::Wheel256(q) => q.push(at, seq, ev),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(Time, Ev)> {
-        match self {
-            Queue::Heap(q) => q.pop_earliest(),
-            Queue::Wheel(q) => q.pop_earliest(),
-            Queue::Wheel256(q) => q.pop_earliest(),
-        }
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<Time> {
-        match self {
-            Queue::Heap(q) => q.peek_time(),
-            Queue::Wheel(q) => q.peek_time(),
-            Queue::Wheel256(q) => q.peek_time(),
-        }
-    }
-}
-
 /// One shard's engine: the full node set, `1/K` of the key space, its
 /// own queue, metrics, safety checker, and transport.
 struct ShardEngine {
@@ -594,7 +549,7 @@ struct ShardEngine {
     queue_capacity: usize,
     tree: Tree,
     orientations: OrientationCache,
-    queue: Queue,
+    queue: ActiveQueue<Ev>,
     seq: u64,
     /// Per-node `LockId -> Instance` tables.
     tables: Vec<LockTable<Instance>>,
@@ -651,7 +606,7 @@ impl ShardEngine {
             queue_capacity: config.queue_capacity,
             tree: tree.clone(),
             orientations: OrientationCache::new(n),
-            queue: Queue::for_backend(backend),
+            queue: ActiveQueue::for_backend(backend),
             seq: 0,
             tables: (0..n).map(|_| LockTable::new(1)).collect(),
             keys: vec![KeyState::default(); owned],
@@ -700,7 +655,7 @@ impl ShardEngine {
     }
 
     fn next_time(&self) -> Option<Time> {
-        self.queue.peek()
+        self.queue.peek_time()
     }
 
     /// The `(node, key)` instance, materialized on first touch with its
@@ -934,11 +889,11 @@ impl ShardEngine {
 
     /// Processes every event strictly before `barrier_end`.
     fn run_window(&mut self, barrier_end: Time) {
-        while let Some(t) = self.queue.peek() {
+        while let Some(t) = self.queue.peek_time() {
             if t >= barrier_end {
                 break;
             }
-            let (t, ev) = self.queue.pop().expect("just peeked");
+            let (t, ev) = self.queue.pop_earliest().expect("just peeked");
             if t != self.send_tick {
                 self.flush_sends();
                 self.send_tick = t;
@@ -1101,8 +1056,7 @@ impl ParallelEngine {
     /// Panics on whatever [`ParallelConfig::validate`] rejects, and on
     /// the cross-checks that need the tree and demand: mismatched node
     /// counts, a balanced profile whose length is not the key count, or
-    /// a [`Placement::Hub`]/[`Placement::Profile`] naming an
-    /// out-of-range node.
+    /// a placement [`Placement::validate`] rejects.
     pub fn new(tree: &Tree, demand: PacedKeyDemand, config: ParallelConfig) -> Self {
         config.validate();
         assert_eq!(
@@ -1110,18 +1064,7 @@ impl ParallelEngine {
             tree.len(),
             "demand and tree disagree on the node count"
         );
-        match &config.placement {
-            Placement::Hub(h) => {
-                assert!(h.index() < tree.len(), "hub {h} out of range");
-            }
-            Placement::Profile(profile) => {
-                assert!(!profile.is_empty(), "placement profile must not be empty");
-                for h in profile.iter() {
-                    assert!(h.index() < tree.len(), "profile hub {h} out of range");
-                }
-            }
-            Placement::Modulo => {}
-        }
+        config.placement.validate(tree.len());
         let assignment = match &config.shard_map {
             ShardMap::Modulo => Assignment::Modulo {
                 shards: config.shards,

@@ -13,8 +13,11 @@
 //! that spacing generously larger than any grant latency or timeout
 //! window, the simulated steps are globally sequenced exactly like
 //! the threaded driver's turn-taking.
-//! Acquisition semantics mirror the unified client API point for
-//! point:
+//! A client is a [`KeyAgent`] — the same sans-IO agent the threaded
+//! backends' nodes step — driven by the script instead of a caller, by
+//! engine ticks instead of a wall clock, with the oracles watching its
+//! [`AgentEvent`]s; acquisition semantics therefore mirror the unified
+//! client API by construction:
 //!
 //! * **try** grants iff every requested key's token is locally parked
 //!   and idle, and never sends a protocol message;
@@ -33,17 +36,18 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
-use dmx_core::{Action, DagMessage, DagNode, KeyedDagMessage, LockId};
+use dmx_core::LockId;
 use dmx_simnet::checker::{KeyedLivenessChecker, KeyedSafetyChecker, KeyedViolation};
 use dmx_simnet::metrics::Histogram;
 use dmx_simnet::{Ctx, Protocol, Time};
 use dmx_topology::{NodeId, Tree};
 use dmx_workload::{AcquireMode, Outcome, Script, SessionOp};
 
+use crate::agent::{Abandon, AgentEvent, KeyAgent};
 use crate::envelope::Envelope;
-use crate::space::{OrientationCache, Placement};
-use crate::table::LockTable;
+use crate::space::Placement;
 
 /// Session parameters. (Step pacing is not a knob: the logical clock
 /// is [`Script::STEP_TICKS`], shared with the threaded executor, so
@@ -63,7 +67,7 @@ pub struct SessionConfig {
     pub keys: u32,
     /// Initial token placement per key.
     pub placement: Placement,
-    /// Shard count of each node's [`LockTable`].
+    /// Shard count of each node's [`LockTable`](crate::LockTable).
     pub shards: usize,
 }
 
@@ -80,8 +84,6 @@ impl Default for SessionConfig {
 /// State shared by every client of one session (single-threaded, under
 /// the engine).
 struct Shared {
-    tree: Tree,
-    orientations: OrientationCache,
     safety: KeyedSafetyChecker,
     /// Liveness oracle: every request a client starts waiting on must
     /// resolve (grant or explicit abandonment) before quiescence.
@@ -108,16 +110,15 @@ impl Shared {
 enum Activity {
     /// Between steps.
     Idle,
-    /// Working through an acquire step's sorted key list.
+    /// Working through an acquire step's sorted key list. A validated
+    /// script releases before it acquires again, so the keys already
+    /// taken are exactly the agent's `held()` and — between engine
+    /// callbacks — the live claim is on `keys[held().len()]`.
     Acquiring {
         /// Global step index (for outcome recording).
         step: usize,
         /// Sorted, deduplicated keys.
         keys: Vec<LockId>,
-        /// How many of `keys` are already held.
-        acquired: usize,
-        /// The key whose REQUEST is travelling, if any.
-        in_flight: Option<LockId>,
         /// Expiry tick and the outcome expiry maps to
         /// ([`Outcome::TimedOut`] or [`Outcome::DeadlineExceeded`]).
         limit: Option<(Time, Outcome)>,
@@ -125,24 +126,20 @@ enum Activity {
 }
 
 /// One node of a scripted session: the [`Protocol`] impl the engine
-/// drives. Build a whole session with [`ScriptedClient::cluster`]; see
-/// the [module docs](self).
+/// drives — a [`KeyAgent`] plus the script cursor, the engine's clock
+/// and the oracles. Build a whole session with
+/// [`ScriptedClient::cluster`]; see the [module docs](self).
 pub struct ScriptedClient {
-    me: NodeId,
-    placement: Placement,
+    /// The node's protocol state and claims: the same agent the
+    /// threaded backends step.
+    agent: KeyAgent,
     shared: Rc<RefCell<Shared>>,
-    table: LockTable,
     /// This node's steps: `(global index, issue tick, op)`.
     steps: Vec<(usize, Time, SessionOp)>,
     cursor: usize,
     activity: Activity,
-    /// Keys granted by the last completed acquire, until its release.
-    held: Vec<LockId>,
-    /// Keys whose in-flight request the user gave up on; their
-    /// privilege bounces straight back out when it arrives.
-    abandoned: Vec<LockId>,
-    /// Buffer the per-key [`DagNode`] handlers push [`Action`]s into.
-    scratch: Vec<Action>,
+    /// What the agent asked for since the last [`pump`](Self::pump).
+    events: Vec<AgentEvent>,
 }
 
 impl ScriptedClient {
@@ -150,10 +147,11 @@ impl ScriptedClient {
     ///
     /// # Panics
     ///
-    /// Panics if the config is invalid (`keys == 0`, `shards == 0`,
-    /// out-of-range hub), the script fails [`Script::validate`], or a
-    /// timeout window reaches [`Script::STEP_TICKS`] (which would
-    /// break global step sequencing).
+    /// Panics if the config is invalid (`keys == 0`, `shards == 0`, a
+    /// placement [`Placement::validate`] rejects), the script fails
+    /// [`Script::validate`], or a timeout window reaches
+    /// [`Script::STEP_TICKS`] (which would break global step
+    /// sequencing).
     pub fn cluster(
         tree: &Tree,
         config: SessionConfig,
@@ -162,18 +160,7 @@ impl ScriptedClient {
         assert!(config.keys > 0, "session needs at least one key");
         assert!(config.shards > 0, "session needs at least one shard");
         let n = tree.len();
-        match &config.placement {
-            Placement::Hub(h) => {
-                assert!(h.index() < n, "hub {h} out of range for {n} nodes");
-            }
-            Placement::Profile(profile) => {
-                assert!(!profile.is_empty(), "placement profile must not be empty");
-                for h in profile.iter() {
-                    assert!(h.index() < n, "profile hub {h} out of range for {n} nodes");
-                }
-            }
-            Placement::Modulo => {}
-        }
+        config.placement.validate(n);
         script.validate(n, config.keys);
         for (i, step) in script.steps().iter().enumerate() {
             if let SessionOp::Acquire {
@@ -190,8 +177,6 @@ impl ScriptedClient {
         }
 
         let shared = Rc::new(RefCell::new(Shared {
-            tree: tree.clone(),
-            orientations: OrientationCache::new(n),
             safety: KeyedSafetyChecker::with_keys(config.keys as usize),
             liveness: KeyedLivenessChecker::with_nodes(n),
             waits: Histogram::default(),
@@ -206,20 +191,22 @@ impl ScriptedClient {
                 step.op.clone(),
             ));
         }
+        let tree = Arc::new(tree.clone());
         let clients = tree
             .nodes()
             .zip(per_node)
             .map(|(id, steps)| ScriptedClient {
-                me: id,
-                placement: config.placement.clone(),
+                agent: KeyAgent::new(
+                    id,
+                    Arc::clone(&tree),
+                    config.placement.clone(),
+                    config.shards,
+                ),
                 shared: Rc::clone(&shared),
-                table: LockTable::new(config.shards),
                 steps,
                 cursor: 0,
                 activity: Activity::Idle,
-                held: Vec::new(),
-                abandoned: Vec::new(),
-                scratch: Vec::new(),
+                events: Vec::new(),
             })
             .collect();
         (clients, SessionMonitor { shared })
@@ -227,58 +214,27 @@ impl ScriptedClient {
 
     /// This client's node.
     pub fn id(&self) -> NodeId {
-        self.me
-    }
-
-    /// The key's instance at this node, materialized on first touch
-    /// (same seed as every other lock-space runtime).
-    fn instance(&mut self, key: LockId) -> &mut DagNode {
-        let me = self.me;
-        let placement = self.placement.clone();
-        let shared = &self.shared;
-        self.table.get_or_insert_with(key, move || {
-            let mut sh = shared.borrow_mut();
-            let Shared {
-                tree, orientations, ..
-            } = &mut *sh;
-            placement.initial_instance(key, me, tree, orientations)
-        })
-    }
-
-    /// Drains the scratch buffer after a per-key handler ran: sends go
-    /// on the wire, an `Enter` is returned to the caller (at most one
-    /// per dispatch — the per-key machines enter only for the local
-    /// user).
-    fn flush_actions(&mut self, key: LockId, ctx: &mut Ctx<'_, Envelope>) -> bool {
-        let mut entered = false;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for action in scratch.drain(..) {
-            match action {
-                Action::Send { to, message } => ctx.send(
-                    to,
-                    Envelope::One(KeyedDagMessage {
-                        lock: key,
-                        msg: message,
-                    }),
-                ),
-                Action::Enter => entered = true,
-            }
-        }
-        self.scratch = scratch;
-        entered
+        self.agent.id()
     }
 
     /// Records `key` entered (safety oracle) at `now`.
     fn note_enter(&mut self, key: LockId, now: Time) {
         let mut sh = self.shared.borrow_mut();
-        let r = sh.safety.on_enter(key.index(), self.me, now).err();
+        let r = sh.safety.on_enter(key.index(), self.id(), now).err();
+        sh.note(r);
+    }
+
+    /// Records `key` left (safety oracle) at `now`.
+    fn note_exit(&mut self, key: LockId, now: Time) {
+        let mut sh = self.shared.borrow_mut();
+        let r = sh.safety.on_exit(key.index(), self.id(), now).err();
         sh.note(r);
     }
 
     /// Opens `key`'s liveness interval: the local user starts waiting.
     fn note_request(&mut self, key: LockId, now: Time) {
         let mut sh = self.shared.borrow_mut();
-        let r = sh.liveness.on_request(self.me, key.index(), now).err();
+        let r = sh.liveness.on_request(self.id(), key.index(), now).err();
         sh.note(r);
     }
 
@@ -286,7 +242,7 @@ impl ScriptedClient {
     /// request→grant wait in the session's distribution.
     fn note_grant(&mut self, key: LockId, now: Time) {
         let mut sh = self.shared.borrow_mut();
-        match sh.liveness.on_grant(self.me, key.index(), now) {
+        match sh.liveness.on_grant(self.id(), key.index(), now) {
             Ok(since) => sh.waits.record(now.saturating_since(since).ticks()),
             Err(v) => sh.note(Some(v)),
         }
@@ -297,24 +253,18 @@ impl ScriptedClient {
     /// it stays out of the grant-wait distribution.
     fn note_abandoned(&mut self, key: LockId, now: Time) {
         let mut sh = self.shared.borrow_mut();
-        let r = sh.liveness.on_grant(self.me, key.index(), now).err();
+        let r = sh.liveness.on_grant(self.id(), key.index(), now).err();
         sh.note(r);
     }
 
-    /// Leaves `key`'s critical section: oracle exit + protocol exit.
-    fn exit_key(&mut self, key: LockId, ctx: &mut Ctx<'_, Envelope>) {
-        let now = ctx.now();
-        {
-            let mut sh = self.shared.borrow_mut();
-            let r = sh.safety.on_exit(key.index(), self.me, now).err();
-            sh.note(r);
+    /// Leaves every held key's critical section, latest grant first: a
+    /// release step, or the rollback of a failed all-or-nothing
+    /// acquisition.
+    fn exit_all(&mut self, now: Time) {
+        while let Some(&key) = self.agent.held().last() {
+            self.note_exit(key, now);
+            self.agent.release(key, &mut self.events);
         }
-        self.table
-            .get_mut(key)
-            .expect("held key is materialized")
-            .exit_into(&mut self.scratch);
-        let entered = self.flush_actions(key, ctx);
-        debug_assert!(!entered, "exit never re-enters");
     }
 
     /// Records `outcome` for step `step`.
@@ -322,95 +272,49 @@ impl ScriptedClient {
         self.shared.borrow_mut().outcomes[step] = Some(outcome);
     }
 
-    /// Drives the current acquisition as far as it goes synchronously:
-    /// locally-granted keys are taken immediately; the first remote key
-    /// leaves a REQUEST in flight. Completes the step when the whole
-    /// set is held.
-    fn advance_acquisition(&mut self, ctx: &mut Ctx<'_, Envelope>) {
-        loop {
-            let Activity::Acquiring {
-                step,
-                ref keys,
-                acquired,
-                in_flight,
-                ..
-            } = self.activity
-            else {
-                return;
-            };
-            debug_assert!(in_flight.is_none(), "advance while a REQUEST is in flight");
-            if acquired == keys.len() {
-                let keys = std::mem::take(match &mut self.activity {
-                    Activity::Acquiring { keys, .. } => keys,
-                    Activity::Idle => unreachable!(),
-                });
-                self.held = keys;
+    /// Claims the current acquisition's next key, or completes the step
+    /// when the whole set is held. A key whose token is parked here is
+    /// granted within the claim; [`pump`](Self::pump) comes back here
+    /// on that `Granted`, as it does when a remote grant arrives.
+    fn claim_next(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+        let Activity::Acquiring { step, ref keys, .. } = self.activity else {
+            return;
+        };
+        match keys.get(self.agent.held().len()).copied() {
+            Some(key) => {
+                // Adopting an abandoned request starts a new wait too:
+                // the abandoned interval closed when its user gave up.
+                self.note_request(key, ctx.now());
+                self.agent.acquire(key, &mut self.events);
+            }
+            None => {
                 self.activity = Activity::Idle;
                 self.record(step, Outcome::Granted);
                 self.run_overdue_steps(ctx);
-                return;
-            }
-            let key = keys[acquired];
-            if let Some(i) = self.abandoned.iter().position(|&k| k == key) {
-                // An abandoned REQUEST for this key is still travelling:
-                // adopt it instead of issuing a second one (the per-key
-                // state machine is already `requesting`) — the same
-                // silent adoption the threaded pending machine performs.
-                self.abandoned.swap_remove(i);
-                // The adopted wait starts now: the abandoned interval
-                // was already resolved when its user gave up.
-                self.note_request(key, ctx.now());
-                match &mut self.activity {
-                    Activity::Acquiring { in_flight, .. } => *in_flight = Some(key),
-                    Activity::Idle => unreachable!(),
-                }
-                return;
-            }
-            self.note_request(key, ctx.now());
-            let mut scratch = std::mem::take(&mut self.scratch);
-            self.instance(key).request_into(&mut scratch);
-            self.scratch = scratch;
-            let entered = self.flush_actions(key, ctx);
-            if entered {
-                self.note_grant(key, ctx.now());
-                self.note_enter(key, ctx.now());
-                match &mut self.activity {
-                    Activity::Acquiring { acquired, .. } => *acquired += 1,
-                    Activity::Idle => unreachable!(),
-                }
-            } else {
-                match &mut self.activity {
-                    Activity::Acquiring { in_flight, .. } => *in_flight = Some(key),
-                    Activity::Idle => unreachable!(),
-                }
-                return;
             }
         }
     }
 
-    /// Expires the current acquisition: rolls back every key already
-    /// acquired (reverse order), abandons the in-flight request, and
-    /// records the limit's outcome.
-    fn expire_acquisition(&mut self, ctx: &mut Ctx<'_, Envelope>) {
-        let Activity::Acquiring {
-            step,
-            keys,
-            acquired,
-            in_flight,
-            limit,
-        } = std::mem::replace(&mut self.activity, Activity::Idle)
+    /// Expires the current acquisition: abandons the claim in flight —
+    /// its REQUEST cannot be recalled, so the grant will bounce — rolls
+    /// back every key already acquired, and records the limit's
+    /// outcome.
+    fn expire_acquisition(&mut self, now: Time) {
+        let Activity::Acquiring { step, keys, limit } =
+            std::mem::replace(&mut self.activity, Activity::Idle)
         else {
             unreachable!("expire without an acquisition");
         };
         let (_, outcome) = limit.expect("expire without a limit");
-        // The REQUEST cannot be recalled; release-on-grant instead.
-        if let Some(key) = in_flight {
-            self.note_abandoned(key, ctx.now());
-            self.abandoned.push(key);
-        }
-        for &key in keys[..acquired].iter().rev() {
-            self.exit_key(key, ctx);
-        }
+        let key = keys[self.agent.held().len()];
+        self.note_abandoned(key, now);
+        let abandon = self.agent.abandon(key, &mut self.events);
+        debug_assert_eq!(
+            abandon,
+            Abandon::Marked,
+            "no grant races a simulated expiry"
+        );
+        self.exit_all(now);
         self.record(step, outcome);
     }
 
@@ -418,44 +322,24 @@ impl ScriptedClient {
     fn execute(&mut self, step: usize, op: SessionOp, ctx: &mut Ctx<'_, Envelope>) {
         let now = ctx.now();
         match op {
-            SessionOp::Release => {
-                let held = std::mem::take(&mut self.held);
-                for &key in held.iter().rev() {
-                    self.exit_key(key, ctx);
-                }
-            }
+            SessionOp::Release => self.exit_all(now),
             SessionOp::Acquire { mut keys, mode } => {
                 keys.sort_unstable();
                 keys.dedup();
                 match mode {
                     AcquireMode::Try => {
                         // All-or-nothing local availability, no messages.
-                        let mut taken = 0;
-                        for (i, &key) in keys.iter().enumerate() {
-                            let mut scratch = std::mem::take(&mut self.scratch);
-                            let instance = self.instance(key);
-                            let available = instance.has_token() && !instance.is_executing();
-                            if available {
-                                instance.request_into(&mut scratch);
-                                self.scratch = scratch;
-                                let entered = self.flush_actions(key, ctx);
-                                debug_assert!(entered, "a holding idle instance enters locally");
-                                // A try is an instant request→grant:
-                                // it contributes a zero-tick wait.
-                                self.note_request(key, now);
-                                self.note_grant(key, now);
-                                self.note_enter(key, now);
-                                taken = i + 1;
-                            } else {
-                                self.scratch = scratch;
-                                for &k in keys[..taken].iter().rev() {
-                                    self.exit_key(k, ctx);
-                                }
-                                self.record(step, Outcome::WouldBlock);
-                                return;
+                        for &key in &keys {
+                            if !self.agent.try_acquire(key) {
+                                self.exit_all(now);
+                                return self.record(step, Outcome::WouldBlock);
                             }
+                            // A try is an instant request→grant: it
+                            // contributes a zero-tick wait.
+                            self.note_request(key, now);
+                            self.note_grant(key, now);
+                            self.note_enter(key, now);
                         }
-                        self.held = keys;
                         self.record(step, Outcome::Granted);
                     }
                     AcquireMode::Deadline(at) if at <= now => {
@@ -472,14 +356,8 @@ impl ScriptedClient {
                         if let Some((at, _)) = limit {
                             ctx.wake_at(at);
                         }
-                        self.activity = Activity::Acquiring {
-                            step,
-                            keys,
-                            acquired: 0,
-                            in_flight: None,
-                            limit,
-                        };
-                        self.advance_acquisition(ctx);
+                        self.activity = Activity::Acquiring { step, keys, limit };
+                        self.claim_next(ctx);
                     }
                 }
             }
@@ -502,52 +380,29 @@ impl ScriptedClient {
         }
     }
 
-    /// One keyed message arrived.
-    fn deliver(&mut self, from: NodeId, keyed: KeyedDagMessage, ctx: &mut Ctx<'_, Envelope>) {
-        let key = keyed.lock;
-        match keyed.msg {
-            DagMessage::Request { from: link, origin } => {
-                debug_assert_eq!(link, from, "REQUEST's X field must match the wire sender");
-                let mut scratch = std::mem::take(&mut self.scratch);
-                self.instance(key)
-                    .receive_request_into(from, origin, &mut scratch);
-                self.scratch = scratch;
-            }
-            DagMessage::Privilege => {
-                self.table
-                    .get_mut(key)
-                    .expect("PRIVILEGE only travels to a node that requested")
-                    .receive_privilege_into(&mut self.scratch);
-            }
-            DagMessage::Initialize => {
-                unreachable!("sessions are pre-oriented; no INITIALIZE flood")
-            }
-        }
-        if self.flush_actions(key, ctx) {
-            let now = ctx.now();
-            if let Some(i) = self.abandoned.iter().position(|&k| k == key) {
-                // The grant nobody waited for: enter and bounce right
-                // back out, exactly like the threaded abandon path.
-                self.abandoned.swap_remove(i);
-                self.note_enter(key, now);
-                self.exit_key(key, ctx);
-            } else {
-                match &mut self.activity {
-                    Activity::Acquiring {
-                        acquired,
-                        in_flight,
-                        ..
-                    } if *in_flight == Some(key) => {
-                        *in_flight = None;
-                        *acquired += 1;
-                        self.note_grant(key, now);
-                        self.note_enter(key, now);
-                        self.advance_acquisition(ctx);
-                    }
-                    _ => unreachable!("{} entered {key} with no local claimant", self.me),
+    /// Performs what the agent asked for since the last pump, ending
+    /// every engine callback: sends go on the wire; a grant feeds the
+    /// oracles and claims the acquisition's next key, whose own events
+    /// queue behind it; a bounce is an enter and an exit in one tick.
+    fn pump(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+        let now = ctx.now();
+        let mut next = 0;
+        while let Some(&event) = self.events.get(next) {
+            next += 1;
+            match event {
+                AgentEvent::Send { to, msg } => ctx.send(to, Envelope::One(msg)),
+                AgentEvent::Granted(key) => {
+                    self.note_grant(key, now);
+                    self.note_enter(key, now);
+                    self.claim_next(ctx);
+                }
+                AgentEvent::Bounced(key) => {
+                    self.note_enter(key, now);
+                    self.note_exit(key, now);
                 }
             }
         }
+        self.events.clear();
     }
 }
 
@@ -566,13 +421,14 @@ impl Protocol for ScriptedClient {
 
     fn on_message(&mut self, from: NodeId, msg: Envelope, ctx: &mut Ctx<'_, Envelope>) {
         match msg {
-            Envelope::One(keyed) => self.deliver(from, keyed, ctx),
-            Envelope::Batch(mut batch) => {
-                for keyed in batch.drain(..) {
-                    self.deliver(from, keyed, ctx);
+            Envelope::One(keyed) => self.agent.deliver(from, keyed, &mut self.events),
+            Envelope::Batch(batch) => {
+                for &keyed in batch.iter() {
+                    self.agent.deliver(from, keyed, &mut self.events);
                 }
             }
         }
+        self.pump(ctx);
     }
 
     fn on_exit_cs(&mut self, _ctx: &mut Ctx<'_, Envelope>) {
@@ -587,16 +443,17 @@ impl Protocol for ScriptedClient {
         } = self.activity
         {
             if at <= now {
-                self.expire_acquisition(ctx);
+                self.expire_acquisition(now);
             }
         }
         self.run_overdue_steps(ctx);
+        self.pump(ctx);
     }
 
     fn storage_words(&self) -> usize {
         // Three words per materialized instance (Chapter 6.4 per key),
         // plus the client's own step/activity bookkeeping.
-        3 * self.table.len() + 4
+        3 * self.agent.table().len() + 4
     }
 }
 

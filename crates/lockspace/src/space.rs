@@ -74,12 +74,37 @@ pub enum Placement {
 }
 
 impl Placement {
+    /// Checks the placement against an `n`-node tree, once, where a
+    /// lock space is built — every constructor that takes a placement
+    /// calls this, so [`Placement::hub`] cannot index out of range (or
+    /// divide by an empty profile) later, on some node's first touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Placement::Hub`] or a [`Placement::Profile`] entry
+    /// is not a node of the tree, or the profile is empty.
+    pub fn validate(&self, n: usize) {
+        match self {
+            Placement::Modulo => {}
+            Placement::Hub(h) => assert!(h.index() < n, "hub {h} out of range for {n} nodes"),
+            Placement::Profile(profile) => {
+                assert!(
+                    !profile.is_empty(),
+                    "placement profile must name at least one hub"
+                );
+                for h in profile.iter() {
+                    assert!(h.index() < n, "profile hub {h} out of range for {n} nodes");
+                }
+            }
+        }
+    }
+
     /// The hub node for `key` in an `n`-node space.
     ///
     /// # Panics
     ///
     /// Panics if the placement is an empty [`Placement::Profile`]
-    /// (rejected earlier by [`LockSpace::cluster`]).
+    /// (rejected by [`Placement::validate`]).
     pub fn hub(&self, key: LockId, n: usize) -> NodeId {
         match self {
             Placement::Modulo => NodeId(key.0 % n as u32),
@@ -725,8 +750,8 @@ impl LockSpace {
     /// # Panics
     ///
     /// Panics if `config.keys == 0`, `config.shards == 0`,
-    /// `config.flush` is invalid (see [`FlushPolicy::validate`]), or a
-    /// [`Placement::Hub`] names an out-of-range node.
+    /// `config.flush` is invalid (see [`FlushPolicy::validate`]), or the
+    /// placement is (see [`Placement::validate`]).
     pub fn cluster(
         tree: &Tree,
         config: LockSpaceConfig,
@@ -735,21 +760,7 @@ impl LockSpace {
         assert!(config.keys > 0, "lock space needs at least one key");
         config.flush.validate();
         let n = tree.len();
-        match &config.placement {
-            Placement::Hub(h) => {
-                assert!(h.index() < n, "hub {h} out of range for {n} nodes");
-            }
-            Placement::Profile(p) => {
-                assert!(
-                    !p.is_empty(),
-                    "placement profile must name at least one hub"
-                );
-                for h in p.iter() {
-                    assert!(h.index() < n, "profile hub {h} out of range for {n} nodes");
-                }
-            }
-            Placement::Modulo => {}
-        }
+        config.placement.validate(n);
         let shared = Rc::new(RefCell::new(Shared {
             tree: tree.clone(),
             safety: KeyedSafetyChecker::with_keys(config.keys as usize),

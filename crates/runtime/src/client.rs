@@ -2,7 +2,7 @@
 //! request builders, RAII guards, and the threaded session-script
 //! executor.
 //!
-//! A [`LockClient`] is one node's endpoint into a running
+//! A [`LockClient`] is one node's handle on a running
 //! [`LockService`](crate::LockService) backend. Acquisition is a tiny
 //! builder: [`LockClient::lock`] names the key, then exactly one of
 //! [`wait`](LockRequest::wait), [`try_now`](LockRequest::try_now),
@@ -27,30 +27,13 @@
 
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, RecvTimeoutError};
 use dmx_core::LockId;
 use dmx_topology::NodeId;
 use dmx_workload::{AcquireMode, Outcome, Script, SessionOp};
 
+use crate::cluster::Input;
 use crate::service::{LockError, Reply};
-
-/// The per-node operations a backend must serve: over the node
-/// thread's input channel, or (TCP) by running the node on the calling
-/// thread.
-pub(crate) trait Endpoint: Send {
-    /// Submit an acquisition for `key`; the node replies
-    /// [`Reply::Granted`] on `ack` when the privilege is local.
-    fn acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError>;
-    /// Submit a try-acquisition for `key`: the node replies
-    /// [`Reply::Granted`] (and enters) iff the token is locally
-    /// available right now, else [`Reply::Unavailable`] — never
-    /// sending a protocol message.
-    fn try_acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError>;
-    /// The user gave up waiting on `key`.
-    fn abandon(&self, key: LockId) -> Result<(), LockError>;
-    /// The user left `key`'s critical section.
-    fn release(&self, key: LockId);
-}
 
 /// How long an acquisition may block, and which error expiry maps to.
 #[derive(Debug, Clone, Copy)]
@@ -63,16 +46,21 @@ enum WaitLimit {
 ///
 /// Obtained from a backend's `start`; see the
 /// [service module](crate::service) for the cross-substrate example.
-#[derive(Debug)]
 pub struct LockClient {
     node: NodeId,
     keys: u32,
-    endpoint: Box<dyn Endpoint>,
+    /// Hands one client operation to the node: over its thread's (or
+    /// the owning shard thread's) input channel, or (TCP) by running
+    /// the node on the calling thread.
+    submit: Box<dyn Fn(Input) -> Result<(), LockError> + Send>,
 }
 
-impl std::fmt::Debug for dyn Endpoint {
+impl std::fmt::Debug for LockClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Endpoint { .. }")
+        f.debug_struct("LockClient")
+            .field("node", &self.node)
+            .field("keys", &self.keys)
+            .finish_non_exhaustive()
     }
 }
 
@@ -115,11 +103,15 @@ pub struct MultiGuard<'a> {
 }
 
 impl LockClient {
-    pub(crate) fn new(node: NodeId, keys: u32, endpoint: Box<dyn Endpoint>) -> Self {
+    pub(crate) fn new(
+        node: NodeId,
+        keys: u32,
+        submit: impl Fn(Input) -> Result<(), LockError> + Send + 'static,
+    ) -> Self {
         LockClient {
             node,
             keys,
-            endpoint,
+            submit: Box::new(submit),
         }
     }
 
@@ -177,7 +169,7 @@ impl LockClient {
     /// is held.
     fn acquire_key(&mut self, key: LockId, limit: WaitLimit) -> Result<(), LockError> {
         let (ack_tx, ack_rx) = bounded(1);
-        self.endpoint.acquire(key, ack_tx)?;
+        (self.submit)(Input::Acquire(key, ack_tx))?;
         match limit {
             WaitLimit::Forever => match ack_rx.recv() {
                 Ok(Reply::Granted) => Ok(()),
@@ -190,7 +182,7 @@ impl LockClient {
                     Ok(Reply::Granted) => Ok(()),
                     Ok(Reply::Unavailable) => unreachable!("blocking acquire never bounces"),
                     Err(RecvTimeoutError::Timeout) => {
-                        self.endpoint.abandon(key)?;
+                        (self.submit)(Input::Abandon(key))?;
                         Err(expired)
                     }
                     Err(RecvTimeoutError::Disconnected) => Err(LockError::ClusterDown),
@@ -202,7 +194,7 @@ impl LockClient {
     /// One non-blocking acquisition; `Ok` means the key is held.
     fn try_key(&mut self, key: LockId) -> Result<(), LockError> {
         let (ack_tx, ack_rx) = bounded(1);
-        self.endpoint.try_acquire(key, ack_tx)?;
+        (self.submit)(Input::TryAcquire(key, ack_tx))?;
         match ack_rx.recv() {
             Ok(Reply::Granted) => Ok(()),
             Ok(Reply::Unavailable) => Err(LockError::WouldBlock),
@@ -225,7 +217,8 @@ impl LockClient {
     /// Releases `held` in reverse acquisition order.
     fn release_all(&mut self, held: &[LockId]) {
         for &key in held.iter().rev() {
-            self.endpoint.release(key);
+            // If the cluster is already gone there is nobody to notify.
+            let _ = (self.submit)(Input::Release(key));
         }
     }
 }
@@ -402,7 +395,7 @@ impl LockGuard<'_> {
 
 impl Drop for LockGuard<'_> {
     fn drop(&mut self) {
-        self.client.endpoint.release(self.key);
+        self.client.release_all(&[self.key]);
     }
 }
 

@@ -1,203 +1,146 @@
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Sender};
-use dmx_core::{Action, DagMessage, DagNode, LockId};
+use dmx_core::{DagMessage, KeyedDagMessage, LockId};
+use dmx_lockspace::{Abandon, AgentEvent, KeyAgent, Placement};
 use dmx_topology::{NodeId, Tree};
 
-use crate::client::{Endpoint, LockClient};
-use crate::service::{
-    AbandonAction, AcquireAction, GrantAction, LockError, LockService, PendingSet, Reply,
-};
+use crate::client::LockClient;
+use crate::service::{LockError, LockService, Reply};
 use crate::stats::{ClusterStats, NodeStats};
 
 /// Inputs one node's [`NodeCore::step`] processes.
 pub(crate) enum Input {
-    /// Local user wants the critical section; reply on the channel when
-    /// the privilege is local.
-    Acquire(Sender<Reply>),
-    /// Local user wants the critical section only if the token is here
-    /// right now; reply [`Reply::Granted`] or [`Reply::Unavailable`]
-    /// without ever sending a protocol message.
-    TryAcquire(Sender<Reply>),
-    /// Local user left the critical section.
-    Release,
-    /// The user gave up waiting (a [`crate::LockRequest::timeout`]). The
-    /// in-flight REQUEST cannot be recalled (the paper has no cancel
-    /// message), so the node releases the privilege the moment it
-    /// arrives — unless a new acquisition adopts the request first.
-    AbandonAcquire,
-    /// A protocol message from a peer.
+    /// Local user wants `key`'s critical section; reply on the channel
+    /// when the privilege is local.
+    Acquire(LockId, Sender<Reply>),
+    /// Local user wants `key` only if its token is here right now;
+    /// reply [`Reply::Granted`] or [`Reply::Unavailable`] without ever
+    /// sending a protocol message.
+    TryAcquire(LockId, Sender<Reply>),
+    /// Local user left `key`'s critical section.
+    Release(LockId),
+    /// The user gave up waiting on `key` (a
+    /// [`crate::LockRequest::timeout`]). The in-flight REQUEST cannot
+    /// be recalled (the paper has no cancel message), so the node
+    /// releases the privilege the moment it arrives — unless a new
+    /// acquisition adopts the request first.
+    Abandon(LockId),
+    /// A keyed protocol message from a peer.
     Net {
         /// Wire sender.
         from: NodeId,
         /// Payload.
-        msg: DagMessage,
+        msg: KeyedDagMessage,
     },
 }
 
-/// The single lock every slot of the pending machine refers to.
-const KEY: LockId = LockId(0);
+impl Input {
+    /// The key this input is about.
+    pub(crate) fn key(&self) -> LockId {
+        match *self {
+            Input::Acquire(key, _)
+            | Input::TryAcquire(key, _)
+            | Input::Release(key)
+            | Input::Abandon(key) => key,
+            Input::Net { msg, .. } => msg.lock,
+        }
+    }
+}
 
-/// One node of a single-lock backend, sans IO: the pure [`DagNode`], the
-/// local user's [`PendingSet`] pending/abandon machine and the counters.
+/// One node of any threaded backend, sans IO: the [`KeyAgent`] (per-key
+/// [`DagNode`](dmx_core::DagNode)s and the local user's claims), the
+/// reply handle of the one claim that can be waiting, and the counters.
 /// Whoever holds an [`Input`] runs [`NodeCore::step`] — the node thread
-/// here, the reader and caller threads in [`crate::tcp`].
+/// here, the reader and caller threads in [`crate::tcp`], the shard
+/// thread in [`crate::LockSpaceCluster`].
 #[derive(Debug)]
 pub(crate) struct NodeCore {
-    node: DagNode,
-    pending: PendingSet,
-    /// Reused across steps: the buffered `DagNode` handlers push into
-    /// it, so steady-state message handling allocates nothing.
-    actions: Vec<Action>,
+    agent: KeyAgent,
+    /// Where the live claim's grant goes. (Left stale by an abandon;
+    /// the next acquire replaces it before anything can be granted.)
+    waiter: Option<Sender<Reply>>,
+    /// Reused across steps, like the agent's own action buffer, so
+    /// steady-state message handling allocates nothing.
+    events: Vec<AgentEvent>,
     stats: NodeStats,
 }
 
 impl NodeCore {
-    pub(crate) fn new(node: DagNode) -> Self {
+    pub(crate) fn new(agent: KeyAgent) -> Self {
         NodeCore {
-            node,
-            pending: PendingSet::new(),
-            actions: Vec::new(),
+            agent,
+            waiter: None,
+            events: Vec::new(),
             stats: NodeStats::default(),
         }
     }
 
-    /// Ends the node: its counters remain, its waiters are dropped (a
+    /// The protocol state, for consistent cuts and shutdown counters.
+    pub(crate) fn agent(&self) -> &KeyAgent {
+        &self.agent
+    }
+
+    /// Ends the node: its counters remain, its waiter is dropped (a
     /// blocked acquisition sees [`LockError::ClusterDown`]).
     pub(crate) fn into_stats(self) -> NodeStats {
         self.stats
     }
 
-    /// Drives the state machine with one input, handing every send to
-    /// `transmit(to, from, message)` (channels here, sockets in
-    /// [`crate::tcp`]) and every `Enter` to the pending machine.
-    pub(crate) fn step(
-        &mut self,
-        input: Input,
-        transmit: &mut impl FnMut(NodeId, NodeId, DagMessage),
-    ) {
-        self.actions.clear();
+    /// Drives the agent with one input, handing every send to
+    /// `transmit(to, message)` (channels here, sockets in
+    /// [`crate::tcp`], the coalescing transport in the lock space) and
+    /// every grant to the waiting user.
+    pub(crate) fn step(&mut self, input: Input, mut transmit: impl FnMut(NodeId, KeyedDagMessage)) {
         match input {
-            Input::Acquire(ack) => match self.pending.acquire(KEY, ack) {
-                // Adopt the still-in-flight request of a timed-out
-                // acquisition: no new messages needed.
-                AcquireAction::Adopted => return,
-                AcquireAction::Issue => {
-                    assert!(!self.node.is_executing(), "Acquire while executing");
-                    self.node.request_into(&mut self.actions);
-                }
-            },
-            Input::TryAcquire(ack) => {
-                // Grant iff the token is parked here, idle, with no
-                // other acquisition engaged. (An abandoned request in
-                // flight implies the token is elsewhere, but check the
-                // slot anyway — it is the machine's source of truth.)
-                let (node, pending) = (&mut self.node, &self.pending);
-                if node.has_token() && !node.is_executing() && !pending.is_engaged(KEY) {
-                    node.request_into(&mut self.actions);
-                    let entered = self.send_all(transmit);
-                    debug_assert!(entered, "a holding idle node enters locally");
-                    self.stats.entries += 1;
-                    let _ = ack.send(Reply::Granted);
-                } else {
-                    let _ = ack.send(Reply::Unavailable);
-                }
-                return;
+            Input::Acquire(key, ack) => {
+                // Adopting the still-in-flight request of a timed-out
+                // acquisition produces no event: only the waiter changes.
+                self.agent.acquire(key, &mut self.events);
+                self.waiter = Some(ack);
             }
-            Input::Release => self.node.exit_into(&mut self.actions),
-            Input::AbandonAcquire => match self.pending.abandon(KEY, self.node.is_executing()) {
-                // Normal case: still waiting; the grant will
-                // auto-release on arrival.
-                AbandonAction::Marked | AbandonAction::Stale => return,
-                // Race: the grant was already delivered but the user
-                // timed out anyway — leave immediately, and count the
-                // entry nobody used as abandoned instead.
-                AbandonAction::ReleaseNow => {
+            Input::TryAcquire(key, ack) => {
+                let reply = if self.agent.try_acquire(key) {
+                    self.stats.entries += 1;
+                    Reply::Granted
+                } else {
+                    Reply::Unavailable
+                };
+                let _ = ack.send(reply);
+            }
+            Input::Release(key) => self.agent.release(key, &mut self.events),
+            // Still waiting (the grant will bounce on arrival) or already
+            // resolved: nothing to count. Race: the grant was delivered
+            // but the user timed out anyway — count the entry nobody
+            // used as abandoned instead.
+            Input::Abandon(key) => {
+                if self.agent.abandon(key, &mut self.events) == Abandon::Released {
                     self.stats.entries -= 1;
                     self.stats.abandoned += 1;
-                    self.node.exit_into(&mut self.actions);
                 }
-            },
-            Input::Net { from, msg } => match msg {
-                DagMessage::Request { from: link, origin } => {
-                    debug_assert_eq!(link, from);
-                    self.node
-                        .receive_request_into(from, origin, &mut self.actions);
-                }
-                DagMessage::Privilege => self.node.receive_privilege_into(&mut self.actions),
-                DagMessage::Initialize => {} // pre-oriented start-up
-            },
-        }
-        if !self.send_all(transmit) {
-            return;
-        }
-        // Entered: hand the critical section to the waiting user, or —
-        // if the user abandoned — bounce straight out again.
-        match self.pending.grant(KEY) {
-            GrantAction::Deliver(ack) => {
-                self.stats.entries += 1;
-                let _ = ack.send(Reply::Granted);
             }
-            GrantAction::AutoRelease => {
-                self.stats.abandoned += 1;
-                self.actions.clear();
-                self.node.exit_into(&mut self.actions);
-                let entered = self.send_all(transmit);
-                debug_assert!(!entered, "exit never re-enters");
-            }
+            Input::Net { from, msg } => self.agent.deliver(from, msg, &mut self.events),
         }
-    }
-
-    /// Transmits the buffered sends; `true` if the buffer held an `Enter`.
-    fn send_all(&mut self, transmit: &mut impl FnMut(NodeId, NodeId, DagMessage)) -> bool {
-        let mut entered = false;
-        for action in &self.actions {
-            match *action {
-                Action::Send { to, message } => {
-                    match message {
+        for event in self.events.drain(..) {
+            match event {
+                AgentEvent::Send { to, msg } => {
+                    match msg.msg {
                         DagMessage::Request { .. } => self.stats.requests_sent += 1,
                         DagMessage::Privilege => self.stats.privileges_sent += 1,
                         DagMessage::Initialize => {}
                     }
-                    transmit(to, self.node.id(), message);
+                    transmit(to, msg);
                 }
-                Action::Enter => entered = true,
+                AgentEvent::Granted(_) => {
+                    self.stats.entries += 1;
+                    let ack = self.waiter.take().expect("a live claim has a waiter");
+                    let _ = ack.send(Reply::Granted);
+                }
+                AgentEvent::Bounced(_) => self.stats.abandoned += 1,
             }
         }
-        entered
     }
-}
-
-/// The single-lock backends' [`Endpoint`]: every client operation is one
-/// [`Input`] handed to `submit` — the node thread's channel here, the
-/// node itself in [`crate::tcp`].
-struct InputEndpoint<F>(F);
-
-impl<F: Fn(Input) -> Result<(), LockError> + Send> Endpoint for InputEndpoint<F> {
-    fn acquire(&self, _key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        (self.0)(Input::Acquire(ack))
-    }
-
-    fn try_acquire(&self, _key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        (self.0)(Input::TryAcquire(ack))
-    }
-
-    fn abandon(&self, _key: LockId) -> Result<(), LockError> {
-        (self.0)(Input::AbandonAcquire)
-    }
-
-    fn release(&self, _key: LockId) {
-        // If the cluster is already gone there is nobody to notify.
-        let _ = (self.0)(Input::Release);
-    }
-}
-
-/// One single-lock client whose operations go to `submit`.
-pub(crate) fn make_client(
-    node: NodeId,
-    submit: impl Fn(Input) -> Result<(), LockError> + Send + 'static,
-) -> LockClient {
-    LockClient::new(node, 1, Box::new(InputEndpoint(submit)))
 }
 
 /// A running cluster: one thread per tree node executing the DAG
@@ -222,27 +165,28 @@ impl Cluster {
     /// Panics if `holder` is out of range.
     pub fn start(tree: &Tree, holder: NodeId) -> (Cluster, Vec<LockClient>) {
         let n = tree.len();
-        assert!(holder.index() < n, "holder out of range");
-        let orientation = tree.orient_toward(holder);
+        let placement = Placement::Hub(holder);
+        placement.validate(n);
+        let tree = Arc::new(tree.clone());
 
         let (txs, rxs): (Vec<Sender<Option<Input>>>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
         let (mut joins, mut clients) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for (i, rx) in rxs.into_iter().enumerate() {
             let me = NodeId::from_index(i);
-            let mut core = NodeCore::new(DagNode::from_orientation(&orientation, me));
+            let agent = KeyAgent::new(me, Arc::clone(&tree), placement.clone(), 1);
+            let mut core = NodeCore::new(agent);
             let (peers, tx) = (txs.clone(), txs[i].clone());
             joins.push(std::thread::spawn(move || {
-                // A send can only fail during shutdown, when the
-                // counters no longer matter.
-                let mut transmit = |to: NodeId, from, msg| {
-                    let _ = peers[to.index()].send(Some(Input::Net { from, msg }));
-                };
                 while let Ok(Some(input)) = rx.recv() {
-                    core.step(input, &mut transmit);
+                    // A send can only fail during shutdown, when the
+                    // counters no longer matter.
+                    core.step(input, |to, msg| {
+                        let _ = peers[to.index()].send(Some(Input::Net { from: me, msg }));
+                    });
                 }
                 core.into_stats()
             }));
-            clients.push(make_client(me, move |input| {
+            clients.push(LockClient::new(me, 1, move |input| {
                 tx.send(Some(input)).map_err(|_| LockError::ClusterDown)
             }));
         }
@@ -404,58 +348,91 @@ pub(crate) mod tests {
         assert_shutdown_fails_a_blocked_waiter(cluster, clients);
     }
 
+    /// Sans-IO cores on `Tree::line(n)`, every key's token at node 0.
+    fn line_of_cores(n: usize) -> Vec<NodeCore> {
+        let tree = Arc::new(Tree::line(n));
+        tree.nodes()
+            .map(|me| KeyAgent::new(me, Arc::clone(&tree), Placement::Hub(NodeId(0)), 1))
+            .map(NodeCore::new)
+            .collect()
+    }
+
+    /// Runs one input through `core` and returns what it transmitted.
+    fn step(core: &mut NodeCore, input: Input) -> Vec<(NodeId, KeyedDagMessage)> {
+        let mut sent = Vec::new();
+        core.step(input, |to, msg| sent.push((to, msg)));
+        sent
+    }
+
+    fn net(from: u32, lock: LockId, msg: DagMessage) -> Input {
+        Input::Net {
+            from: NodeId(from),
+            msg: KeyedDagMessage { lock, msg },
+        }
+    }
+
     #[test]
     fn node_core_steps_a_hand_off_without_any_io() {
-        let orientation = Tree::line(3).orient_toward(NodeId(0));
-        let mut cores: Vec<NodeCore> = (0..3)
-            .map(|i| NodeCore::new(DagNode::from_orientation(&orientation, NodeId(i))))
-            .collect();
-        // Runs one input through `node` and returns what it transmitted.
-        let mut step = |node: usize, input: Input| {
-            let mut sent = Vec::new();
-            cores[node].step(input, &mut |to, from, msg| sent.push((to, from, msg)));
-            sent
-        };
+        let mut cores = line_of_cores(3);
+        let key = LockId(3);
         let request = |from: u32| DagMessage::Request {
             from: NodeId(from),
             origin: NodeId(2),
         };
-        let net = |from: u32, msg: DagMessage| Input::Net {
-            from: NodeId(from),
-            msg,
-        };
+        let keyed = |msg| KeyedDagMessage { lock: key, msg };
 
         // Node 2 asks: the REQUEST walks the line to the holder, the
         // PRIVILEGE comes straight back to the origin.
         let (ack, granted) = crossbeam::channel::bounded(1);
         assert_eq!(
-            step(2, Input::Acquire(ack)),
-            [(NodeId(1), NodeId(2), request(2))]
+            step(&mut cores[2], Input::Acquire(key, ack)),
+            [(NodeId(1), keyed(request(2)))]
         );
         assert_eq!(
-            step(1, net(2, request(2))),
-            [(NodeId(0), NodeId(1), request(1))]
+            step(&mut cores[1], net(2, key, request(2))),
+            [(NodeId(0), keyed(request(1)))]
         );
         assert_eq!(
-            step(0, net(1, request(1))),
-            [(NodeId(2), NodeId(0), DagMessage::Privilege)]
+            step(&mut cores[0], net(1, key, request(1))),
+            [(NodeId(2), keyed(DagMessage::Privilege))]
         );
         assert!(granted.try_recv().is_err(), "not granted before the token");
-        assert_eq!(step(2, net(0, DagMessage::Privilege)), []);
+        assert_eq!(step(&mut cores[2], net(0, key, DagMessage::Privilege)), []);
         assert_eq!(granted.try_recv(), Ok(Reply::Granted));
         // Exit with nobody queued: the token parks, nothing is sent.
-        assert_eq!(step(2, Input::Release), []);
+        assert_eq!(step(&mut cores[2], Input::Release(key)), []);
 
         // A try succeeds exactly where the token is parked.
         for (node, reply) in [(2, Reply::Granted), (0, Reply::Unavailable)] {
             let (ack, answer) = crossbeam::channel::bounded(1);
-            assert_eq!(step(node, Input::TryAcquire(ack)), []);
+            assert_eq!(step(&mut cores[node], Input::TryAcquire(key, ack)), []);
             assert_eq!(answer.try_recv(), Ok(reply));
         }
         let stats: Vec<NodeStats> = cores.into_iter().map(NodeCore::into_stats).collect();
         assert_eq!((stats[2].requests_sent, stats[2].entries), (1, 2));
         assert_eq!((stats[1].requests_sent, stats[1].entries), (1, 0));
         assert_eq!((stats[0].privileges_sent, stats[0].entries), (1, 0));
+    }
+
+    #[test]
+    fn a_grant_that_raced_its_own_timeout_is_not_an_entry() {
+        let mut core = line_of_cores(2).pop().expect("node 1");
+        let key = LockId(2);
+        let (ack, granted) = crossbeam::channel::bounded(1);
+        assert_eq!(step(&mut core, Input::Acquire(key, ack)).len(), 1);
+        assert_eq!(step(&mut core, net(0, key, DagMessage::Privilege)), []);
+        // The grant is delivered, but the user's timeout fired first:
+        // its abandon finds the node inside the critical section.
+        assert_eq!(granted.try_recv(), Ok(Reply::Granted));
+        assert_eq!(step(&mut core, Input::Abandon(key)), [], "it parks");
+        assert_eq!(step(&mut core, Input::Abandon(key)), [], "now stale");
+        assert_eq!((core.stats.entries, core.stats.abandoned), (0, 1));
+
+        // The key's token is idle here: a try takes it without a message.
+        let (ack, answer) = crossbeam::channel::bounded(1);
+        assert_eq!(step(&mut core, Input::TryAcquire(key, ack)), []);
+        assert_eq!(answer.try_recv(), Ok(Reply::Granted));
+        assert_eq!(core.into_stats().entries, 1);
     }
 
     #[test]

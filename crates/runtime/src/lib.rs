@@ -7,13 +7,16 @@
 //!
 //! * [`Cluster`] — one OS thread per tree node, crossbeam channels
 //!   (per-sender FIFO, the paper's only network assumption);
-//! * [`tcp::TcpCluster`] — the same `NodeCore::step` over loopback
-//!   sockets, with no node thread: the socket readers and the callers
-//!   themselves run it;
+//! * [`tcp::TcpCluster`] — loopback sockets, with no node thread: the
+//!   socket readers and the callers themselves run the node;
 //! * [`LockSpaceCluster`] — the sharded multi-key lock service:
-//!   shared-nothing shard threads (`workers` per node), each running
-//!   the per-key handlers inline over the simulator's coalescing
-//!   transport.
+//!   shared-nothing shard threads (`workers` per node) over the
+//!   simulator's coalescing transport.
+//!
+//! All three step the same node — `NodeCore::step`, a
+//! [`dmx_lockspace::KeyAgent`] plus a reply handle and counters — and
+//! differ only in what carries an input to it and a send away from it;
+//! the single-lock backends are that node at one key.
 //!
 //! Acquisition is a builder — [`LockClient::lock`] then one of
 //! [`wait`](LockRequest::wait), [`try_now`](LockRequest::try_now),

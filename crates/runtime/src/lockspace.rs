@@ -7,18 +7,19 @@
 //!
 //! Each node is [`LockSpaceClusterConfig::workers`] independent,
 //! shared-nothing **shard threads**. Shard `s` owns everything for the
-//! keys with `k % workers == s`: the lazily-materialized [`LockTable`]
-//! slice (the same sharded table, the same lazy-orientation soundness
-//! argument), the shared [`PendingSet`](crate::service)
-//! pending/abandon machine for those keys — so timeouts, abandonment
-//! (release-on-grant; the paper has no cancel message), and request
-//! adoption behave identically on every backend — and its own
+//! keys with `k % workers == s`: a `NodeCore` — the same node the
+//! single-lock backends step, here over a slice of the key space: the
+//! [`dmx_lockspace::KeyAgent`] with its lazily-materialized lock table
+//! (the same sharded table, the same lazy-orientation soundness
+//! argument) and the local user's claims, so timeouts, abandonment
+//! (release-on-grant; the paper has no cancel message) and request
+//! adoption are one implementation on every backend — and its own
 //! [`Transport`] (`dmx-lockspace`'s coalescing layer, the identical
 //! grouping code the simulated `LockSpace` flushes through). Its loop
-//! has the shape of the single-lock node loop: take one input, run the
-//! pure per-key [`DagNode`] handler inline, stage the sends, and flush
-//! one envelope per destination when the [`FlushPolicy`]'s cap is hit
-//! or the inbox goes idle.
+//! is the single-lock node loop with staging in place of sending: take
+//! one input, run `NodeCore::step`, stage the sends, and flush one
+//! envelope per destination when the [`FlushPolicy`]'s cap is hit or
+//! the inbox goes idle.
 //!
 //! The key → shard map is the same on every node, so shard `s` of node
 //! `i` only ever talks to shard `s` of node `j` (one *shard plane* per
@@ -59,16 +60,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use dmx_core::{Action, DagMessage, DagNode, KeyedDagMessage, LockId};
-use dmx_lockspace::{
-    BatchPool, Envelope, FlushPolicy, LockTable, OrientationCache, Placement, Transport,
-};
+use dmx_core::{DagNode, LockId};
+use dmx_lockspace::{BatchPool, Envelope, FlushPolicy, KeyAgent, Placement, Transport};
 use dmx_topology::{NodeId, Tree};
 
-use crate::client::{Endpoint, LockClient};
-use crate::service::{
-    AbandonAction, AcquireAction, GrantAction, LockError, LockService, PendingSet, Reply,
-};
+use crate::client::LockClient;
+use crate::cluster::{Input as NodeInput, NodeCore};
+use crate::service::{LockError, LockService};
 use crate::snapshot::{KeyCut, LockSpaceSnapshot, NodeCut};
 
 /// Threaded lock-space parameters.
@@ -122,17 +120,8 @@ impl Default for LockSpaceClusterConfig {
 
 /// Inputs a shard thread processes.
 enum Input {
-    /// Local user wants `key`'s critical section; reply when granted.
-    Acquire(LockId, Sender<Reply>),
-    /// Local user wants `key` only if its token is here right now;
-    /// reply [`Reply::Granted`] or [`Reply::Unavailable`] without ever
-    /// sending a protocol message.
-    TryAcquire(LockId, Sender<Reply>),
-    /// Local user releases `key`.
-    Release(LockId),
-    /// The user gave up waiting on `key`; release its privilege the
-    /// moment it arrives (unless a new acquisition adopts the request).
-    Abandon(LockId),
+    /// A local user's operation on a key this shard owns.
+    Client(NodeInput),
     /// An envelope of keyed protocol messages from the same shard of a
     /// peer node.
     Net {
@@ -264,40 +253,6 @@ pub struct LockSpaceCluster {
     joins: Vec<Vec<JoinHandle<LockSpaceNodeStats>>>,
 }
 
-/// The lock space's [`Endpoint`]: each client operation becomes a keyed
-/// [`Input`] sent straight to the shard owning the key.
-struct LockSpaceEndpoint {
-    /// This node's shard inboxes, indexed by shard.
-    shards: Vec<Sender<Input>>,
-}
-
-impl LockSpaceEndpoint {
-    fn send(&self, key: LockId, input: Input) -> Result<(), LockError> {
-        self.shards[key.index() % self.shards.len()]
-            .send(input)
-            .map_err(|_| LockError::ClusterDown)
-    }
-}
-
-impl Endpoint for LockSpaceEndpoint {
-    fn acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        self.send(key, Input::Acquire(key, ack))
-    }
-
-    fn try_acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        self.send(key, Input::TryAcquire(key, ack))
-    }
-
-    fn abandon(&self, key: LockId) -> Result<(), LockError> {
-        self.send(key, Input::Abandon(key))
-    }
-
-    fn release(&self, key: LockId) {
-        // If the cluster is already gone there is nobody to notify.
-        let _ = self.send(key, Input::Release(key));
-    }
-}
-
 impl LockSpaceCluster {
     /// Spawns one shard thread per node of `tree`, serving `keys` locks
     /// placed per `placement` (every-burst flushing), and returns the
@@ -305,8 +260,8 @@ impl LockSpaceCluster {
     ///
     /// # Panics
     ///
-    /// Panics if `keys == 0` or a [`Placement::Hub`] names an
-    /// out-of-range node.
+    /// Panics if `keys == 0` or `placement` is invalid (see
+    /// [`Placement::validate`]).
     pub fn start(
         tree: &Tree,
         keys: u32,
@@ -328,8 +283,8 @@ impl LockSpaceCluster {
     /// # Panics
     ///
     /// Panics if `config.keys == 0`, `config.workers == 0`,
-    /// `config.flush` is invalid (see [`FlushPolicy::validate`]), or a
-    /// [`Placement::Hub`] names an out-of-range node.
+    /// `config.flush` is invalid (see [`FlushPolicy::validate`]), or
+    /// `config.placement` is (see [`Placement::validate`]).
     pub fn start_with(
         tree: &Tree,
         config: LockSpaceClusterConfig,
@@ -338,9 +293,7 @@ impl LockSpaceCluster {
         assert!(config.workers > 0, "lock space needs at least one worker");
         config.flush.validate();
         let n = tree.len();
-        if let Placement::Hub(h) = config.placement {
-            assert!(h.index() < n, "hub {h} out of range for {n} nodes");
-        }
+        config.placement.validate(n);
         // Each shard lazily caches the orientations of the hubs it
         // actually touches (computing one up front per node would cost
         // O(n²) before the first lock is served); only the tree itself
@@ -358,24 +311,17 @@ impl LockSpaceCluster {
         for (i, node_rxs) in rxs.into_iter().enumerate() {
             let mut node_joins = Vec::with_capacity(config.workers);
             for (s, rx) in node_rxs.into_iter().enumerate() {
+                let me = NodeId::from_index(i);
+                let agent = KeyAgent::new(me, Arc::clone(&tree), config.placement.clone(), 16);
                 let shard = Shard {
-                    keys: ShardKeys {
-                        me: NodeId::from_index(i),
-                        placement: config.placement.clone(),
-                        tree: Arc::clone(&tree),
-                        orientations: OrientationCache::new(n),
-                        table: LockTable::new(16),
-                    },
+                    core: NodeCore::new(agent),
                     // The shard plane: shard s of every node.
                     peers: txs.iter().map(|node| node[s].clone()).collect(),
                     transport: Transport::new(n, config.flush),
                     pool: BatchPool::new(),
-                    pending: PendingSet::new(),
-                    held: Vec::new(),
-                    actions: Vec::new(),
                     bursts: 0,
                     cut: None,
-                    stats: LockSpaceNodeStats::default(),
+                    envelopes_sent: 0,
                 };
                 node_joins.push(std::thread::spawn(move || shard.run(rx)));
             }
@@ -386,13 +332,13 @@ impl LockSpaceCluster {
             .iter()
             .enumerate()
             .map(|(i, shards)| {
-                LockClient::new(
-                    NodeId::from_index(i),
-                    config.keys,
-                    Box::new(LockSpaceEndpoint {
-                        shards: shards.clone(),
-                    }),
-                )
+                // Each operation goes straight to the shard owning its key.
+                let shards = shards.clone();
+                LockClient::new(NodeId::from_index(i), config.keys, move |input| {
+                    shards[input.key().index() % shards.len()]
+                        .send(Input::Client(input))
+                        .map_err(|_| LockError::ClusterDown)
+                })
             })
             .collect();
         (
@@ -518,55 +464,23 @@ impl LockService for LockSpaceCluster {
     }
 }
 
-/// A shard's slice of its node's lock table, with what materializing an
-/// instance needs. Split from [`Shard`] so a handler can borrow an
-/// instance and the shard's action buffer at once.
-struct ShardKeys {
-    me: NodeId,
-    placement: Placement,
-    tree: Arc<Tree>,
-    /// Orientations of the hubs this shard has seen traffic for, filled
-    /// on first use — untouched hubs cost nothing, like untouched keys.
-    orientations: OrientationCache,
-    table: LockTable,
-}
-
-impl ShardKeys {
-    /// `key`'s instance, materialized on first touch from the same seed
-    /// the simulated lock space uses.
-    fn instance(&mut self, key: LockId) -> &mut DagNode {
-        self.table.get_or_insert_with(key, || {
-            self.placement
-                .initial_instance(key, self.me, &self.tree, &mut self.orientations)
-        })
-    }
-}
-
-/// One shard thread's whole state: everything node `me` keeps for the
+/// One shard thread's whole state: everything its node keeps for the
 /// keys hashed to this shard. Nothing here is shared with the node's
 /// other shards.
 struct Shard {
-    keys: ShardKeys,
+    /// The node every threaded backend steps, over this shard's slice
+    /// of the key space: lock table, claims, held keys, counters.
+    core: NodeCore,
     /// This shard's plane: the same shard's inbox on every node.
     peers: Vec<Sender<Input>>,
     transport: Transport,
     pool: BatchPool,
-    /// The local user's outstanding acquisitions (waiting or abandoned)
-    /// on this shard's keys — the same machine the single-lock node
-    /// loop runs for its one key.
-    pending: PendingSet,
-    /// Keys the local user currently holds (granted, not yet released);
-    /// lock_many holds several at once.
-    held: Vec<LockId>,
-    /// Reused across the whole loop: the buffered [`DagNode`] handlers
-    /// push into it, so steady-state handling allocates nothing.
-    actions: Vec<Action>,
     /// Keyed inputs handled since the last flush (the tickless analogue
     /// of the simulator's coalescing window).
     bursts: u64,
     /// The in-progress Chandy–Lamport cut, if any.
     cut: Option<CutState>,
-    stats: LockSpaceNodeStats,
+    envelopes_sent: u64,
 }
 
 impl Shard {
@@ -590,33 +504,7 @@ impl Shard {
                 }
             };
             match input {
-                Input::Acquire(key, ack) => match self.pending.acquire(key, ack) {
-                    // An abandoned request for this key is still in
-                    // flight; the new acquisition adopts it silently.
-                    AcquireAction::Adopted => {}
-                    AcquireAction::Issue => {
-                        self.actions.clear();
-                        self.keys.instance(key).request_into(&mut self.actions);
-                        self.settle(key);
-                    }
-                },
-                Input::TryAcquire(key, ack) => {
-                    let reply = self.try_acquire(key);
-                    let _ = ack.send(reply);
-                    self.end_burst();
-                }
-                Input::Release(key) => self.exit(key),
-                Input::Abandon(key) => {
-                    match self.pending.abandon(key, self.held.contains(&key)) {
-                        AbandonAction::Marked | AbandonAction::Stale => {}
-                        // Race: the grant was already delivered but the
-                        // user timed out anyway — release immediately.
-                        AbandonAction::ReleaseNow => {
-                            self.stats.abandoned += 1;
-                            self.exit(key);
-                        }
-                    }
-                }
+                Input::Client(input) => self.step(input),
                 Input::Net { from, envelope } => {
                     // Post-cut, pre-marker traffic on this channel is
                     // exactly the in-flight state the cut must record.
@@ -629,10 +517,10 @@ impl Shard {
                         }
                     }
                     match envelope {
-                        Envelope::One(msg) => self.deliver(from, msg),
+                        Envelope::One(msg) => self.step(NodeInput::Net { from, msg }),
                         Envelope::Batch(mut batch) => {
                             for msg in batch.drain(..) {
-                                self.deliver(from, msg);
+                                self.step(NodeInput::Net { from, msg });
                             }
                             // The drained payload joins this shard's own
                             // pool: cross-node buffer recycling.
@@ -654,103 +542,26 @@ impl Shard {
                 Input::Shutdown => break,
             }
         }
-        self.stats.keys_materialized = self.keys.table.len();
-        self.stats
+        let keys_materialized = self.core.agent().table().len();
+        let node = self.core.into_stats();
+        LockSpaceNodeStats {
+            requests_sent: node.requests_sent,
+            privileges_sent: node.privileges_sent,
+            envelopes_sent: self.envelopes_sent,
+            entries: node.entries,
+            abandoned: node.abandoned,
+            keys_materialized,
+        }
     }
 
-    /// Grants `key` iff its token is parked here, idle, with no other
-    /// acquisition engaged — never sending a protocol message.
-    fn try_acquire(&mut self, key: LockId) -> Reply {
-        // An abandoned request in flight means the token is not here (a
-        // requesting node never holds it): refuse before touching the
-        // table.
-        if self.pending.is_engaged(key) {
-            return Reply::Unavailable;
-        }
-        let instance = self.keys.instance(key);
-        if !instance.has_token() || instance.is_executing() {
-            return Reply::Unavailable;
-        }
-        self.actions.clear();
-        instance.request_into(&mut self.actions);
-        debug_assert!(
-            matches!(self.actions[..], [Action::Enter]),
-            "a holding idle node enters locally"
-        );
-        self.stats.entries += 1;
-        self.held.push(key);
-        Reply::Granted
-    }
-
-    /// Leaves `key`'s critical section, passing the privilege on if a
-    /// request is queued behind it.
-    fn exit(&mut self, key: LockId) {
-        self.held.retain(|&k| k != key);
-        self.actions.clear();
-        self.keys.instance(key).exit_into(&mut self.actions);
-        self.settle(key);
-    }
-
-    /// Runs the handler for one keyed protocol message from `from`.
-    fn deliver(&mut self, from: NodeId, msg: KeyedDagMessage) {
-        let instance = self.keys.instance(msg.lock);
-        self.actions.clear();
-        match msg.msg {
-            DagMessage::Request { from: link, origin } => {
-                debug_assert_eq!(link, from);
-                instance.receive_request_into(from, origin, &mut self.actions);
-            }
-            DagMessage::Privilege => instance.receive_privilege_into(&mut self.actions),
-            DagMessage::Initialize => {} // pre-oriented start-up
-        }
-        self.settle(msg.lock);
-    }
-
-    /// Finishes one handler call for `key`: stages the sends it pushed
-    /// into `actions` and resolves an Enter through the pending set —
-    /// hand the critical section to the waiting user, or, if the user
-    /// abandoned, bounce the privilege straight back out.
-    fn settle(&mut self, key: LockId) {
-        let mut entered = false;
-        for action in &self.actions {
-            match *action {
-                Action::Send { to, message } => {
-                    match message {
-                        DagMessage::Request { .. } => self.stats.requests_sent += 1,
-                        DagMessage::Privilege => self.stats.privileges_sent += 1,
-                        DagMessage::Initialize => {}
-                    }
-                    let msg = KeyedDagMessage {
-                        lock: key,
-                        msg: message,
-                    };
-                    self.transport.stage(to, msg);
-                }
-                Action::Enter => entered = true,
-            }
-        }
-        if entered {
-            match self.pending.grant(key) {
-                GrantAction::Deliver(ack) => {
-                    self.stats.entries += 1;
-                    self.held.push(key);
-                    let _ = ack.send(Reply::Granted);
-                }
-                GrantAction::AutoRelease => {
-                    self.stats.abandoned += 1;
-                    // Exit never re-enters, so this recursion is one deep.
-                    return self.exit(key);
-                }
-            }
-        }
-        self.end_burst();
-    }
-
-    /// Counts one handled keyed input toward the flush policy's cap.
-    /// Every input counts — including send-less ones — so a busy
-    /// stretch of absorbing handlers cannot freeze the counter and hold
-    /// an already-staged envelope past the policy's bound.
-    fn end_burst(&mut self) {
+    /// Runs one keyed input through the node, staging what it sends,
+    /// and counts it toward the flush policy's cap. Every input counts
+    /// — including send-less ones — so a busy stretch of absorbing
+    /// handlers cannot freeze the counter and hold an already-staged
+    /// envelope past the policy's bound.
+    fn step(&mut self, input: NodeInput) {
+        let transport = &mut self.transport;
+        self.core.step(input, |to, msg| transport.stage(to, msg));
         self.bursts += 1;
         if self.transport.staged() > 0 && self.transport.burst_cap_reached(self.bursts) {
             self.flush();
@@ -759,9 +570,9 @@ impl Shard {
 
     /// Transmits everything staged, one envelope per destination.
     fn flush(&mut self) {
-        let from = self.keys.me;
+        let from = self.core.agent().id();
         self.transport.flush(&mut self.pool, |to, envelope| {
-            self.stats.envelopes_sent += 1;
+            self.envelopes_sent += 1;
             // A send can only fail during shutdown, when the counters
             // no longer matter.
             let _ = self.peers[to.index()].send(Input::Net { from, envelope });
@@ -775,7 +586,8 @@ impl Shard {
     /// markers leave before anything staged does.
     fn cut_mut(&mut self) -> &mut CutState {
         self.cut.get_or_insert_with(|| {
-            let (me, n) = (self.keys.me, self.peers.len());
+            let agent = self.core.agent();
+            let (me, n) = (agent.id(), self.peers.len());
             let key_cut = |(key, instance): (LockId, &DagNode)| KeyCut {
                 key,
                 has_token: instance.has_token(),
@@ -784,14 +596,12 @@ impl Shard {
             };
             let mut slice = NodeCut {
                 node: me,
-                keys: self.keys.table.iter().map(key_cut).collect(),
-                held: self.held.clone(),
-                pending: Vec::new(),
+                keys: agent.table().iter().map(key_cut).collect(),
+                held: agent.held().to_vec(),
+                pending: agent.claims().to_vec(),
                 staged: Vec::new(),
                 in_flight: vec![Vec::new(); n],
             };
-            self.pending
-                .for_each_engaged(|key, abandoned| slice.pending.push((key, abandoned)));
             self.transport
                 .for_each_staged(|to, msg| slice.staged.push((to, *msg)));
             for (p, peer) in self.peers.iter().enumerate() {
@@ -1344,6 +1154,24 @@ mod tests {
             ..LockSpaceClusterConfig::default()
         };
         let _ = LockSpaceCluster::start_with(&Tree::line(2), config);
+    }
+
+    #[test]
+    #[should_panic(expected = "profile hub n9 out of range for 3 nodes")]
+    fn out_of_range_profile_hub_is_rejected_at_cluster_start() {
+        let profile = Placement::Profile(Arc::new(vec![NodeId(9)]));
+        let _ = LockSpaceCluster::start(&Tree::star(3), 4, profile);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one hub")]
+    fn empty_profile_is_rejected_at_cluster_start() {
+        let config = LockSpaceClusterConfig {
+            keys: 4,
+            placement: Placement::Profile(Arc::new(Vec::new())),
+            ..LockSpaceClusterConfig::default()
+        };
+        let _ = LockSpaceCluster::start_with(&Tree::star(3), config);
     }
 
     #[test]

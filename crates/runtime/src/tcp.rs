@@ -4,7 +4,7 @@
 //! fixed 9-byte frames over lazily established, cached connections. TCP
 //! gives exactly the guarantees the paper's network model demands —
 //! reliable delivery and per-connection FIFO — so the unchanged
-//! [`DagNode`] state machine runs correctly on top.
+//! [`DagNode`](dmx_core::DagNode) state machine runs correctly on top.
 //! This is the deployment-shaped embodiment; for cheap in-process
 //! locking use the channel-based [`Cluster`](crate::Cluster).
 //!
@@ -48,12 +48,13 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use dmx_core::{DagMessage, DagNode};
+use dmx_core::{DagMessage, KeyedDagMessage, LockId};
+use dmx_lockspace::{KeyAgent, Placement};
 use dmx_topology::{NodeId, Tree};
 use parking_lot::Mutex;
 
 use crate::client::LockClient;
-use crate::cluster::{make_client, Input, NodeCore};
+use crate::cluster::{Input, NodeCore};
 use crate::service::{LockError, LockService};
 use crate::stats::ClusterStats;
 
@@ -108,9 +109,9 @@ impl TcpNode {
     /// frames it produces.
     fn step(&mut self, input: Input) -> Result<(), LockError> {
         let core = self.core.as_mut().ok_or(LockError::ClusterDown)?;
-        let (outgoing, addrs) = (&mut self.outgoing, &self.addrs);
-        core.step(input, &mut |to: NodeId, from, msg| {
-            let (slot, frame) = (&mut outgoing[to.index()], encode(from, &msg));
+        let (me, outgoing, addrs) = (core.agent().id(), &mut self.outgoing, &self.addrs);
+        core.step(input, |to, keyed| {
+            let (slot, frame) = (&mut outgoing[to.index()], encode(me, &keyed.msg));
             // Lazily connect, retrying once on a stale cached stream.
             for _ in 0..2 {
                 if slot.is_none() {
@@ -137,7 +138,7 @@ type Reader = (TcpStream, JoinHandle<()>);
 /// loopback TCP. API mirrors [`Cluster`](crate::Cluster): the same
 /// [`LockClient`] with the same try/timeout/deadline machinery, since
 /// both runtimes drive the same `NodeCore::step` (and therefore one
-/// pending/abandon state machine).
+/// claim machine, [`dmx_lockspace::KeyAgent`]).
 ///
 /// # Examples
 ///
@@ -175,8 +176,9 @@ impl TcpCluster {
     /// Panics if `holder` is out of range.
     pub fn start(tree: &Tree, holder: NodeId) -> io::Result<(TcpCluster, Vec<LockClient>)> {
         let n = tree.len();
-        assert!(holder.index() < n, "holder out of range");
-        let orientation = tree.orient_toward(holder);
+        let placement = Placement::Hub(holder);
+        placement.validate(n);
+        let tree = Arc::new(tree.clone());
 
         // Bind all listeners first so every address is known before any
         // node starts sending.
@@ -191,8 +193,9 @@ impl TcpCluster {
         let (mut nodes, mut accept_joins, mut clients) = (Vec::new(), Vec::new(), Vec::new());
         for (i, listener) in listeners.into_iter().enumerate() {
             let me = NodeId::from_index(i);
+            let agent = KeyAgent::new(me, Arc::clone(&tree), placement.clone(), 1);
             let node = Arc::new(Mutex::new(TcpNode {
-                core: Some(NodeCore::new(DagNode::from_orientation(&orientation, me))),
+                core: Some(NodeCore::new(agent)),
                 outgoing: (0..n).map(|_| None).collect(),
                 addrs: Arc::clone(&addrs),
             }));
@@ -200,7 +203,9 @@ impl TcpCluster {
             // its frames through the node.
             let (inbox, local) = (Arc::clone(&node), Arc::clone(&node));
             accept_joins.push(std::thread::spawn(move || accept_loop(listener, inbox)));
-            clients.push(make_client(me, move |input| local.lock().step(input)));
+            clients.push(LockClient::new(me, 1, move |input| {
+                local.lock().step(input)
+            }));
             nodes.push(node);
         }
         let cluster = TcpCluster {
@@ -303,6 +308,9 @@ fn reader_loop(mut stream: TcpStream, node: &Mutex<TcpNode>) {
         let Ok((from, msg)) = decode(&frame, n) else {
             break;
         };
+        // The frame carries no key: this backend serves the one lock.
+        let lock = LockId(0);
+        let msg = KeyedDagMessage { lock, msg };
         if node.lock().step(Input::Net { from, msg }).is_err() {
             break;
         }
@@ -314,7 +322,6 @@ fn reader_loop(mut stream: TcpStream, node: &Mutex<TcpNode>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmx_core::LockId;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::Duration;
 

@@ -64,10 +64,8 @@ pub struct EngineConfig {
     /// Event-queue backend (see [`crate::sched`]). The default
     /// [`Scheduler::Auto`] picks the O(1) timing wheel when both
     /// `latency` and `cs_duration` are near-now (`Fixed`/small
-    /// `Uniform`) and the binary heap otherwise; every backend
-    /// (including the explicit-only 256-slot wheel probe,
-    /// [`Scheduler::Wheel256`]) produces byte-identical traces, so this
-    /// is purely a performance knob.
+    /// `Uniform`) and the binary heap otherwise; both backends produce
+    /// byte-identical traces, so this is purely a performance knob.
     pub scheduler: Scheduler,
 }
 

@@ -20,11 +20,7 @@
 //!   every event lands at `now + 0/1` (the multi-lock `dmx-lockspace`
 //!   subsystem schedules even more same-tick flush wakes), so the
 //!   `O(log q)` heap sift is wasted ordering work; the wheel makes
-//!   push and pop `O(1)` for the near-now common case. The level-0
-//!   width is a compile-time parameter; [`Wheel256Queue`] is the
-//!   ROADMAP's 256-slot micro-tuning probe, selected only by the
-//!   explicit [`Scheduler::Wheel256`] and held to the same
-//!   byte-identical-trace contract.
+//!   push and pop `O(1)` for the near-now common case.
 //!
 //! # Wheel design
 //!
@@ -141,13 +137,6 @@ pub enum Scheduler {
     Heap,
     /// Always the timing-wheel backend ([`WheelQueue`]).
     Wheel,
-    /// The micro-tuning probe: the timing wheel with a **256-slot
-    /// level 0** ([`Wheel256Queue`]) instead of 64. Never selected by
-    /// `Auto` — it exists so the `engine_hot_loop` suite can measure
-    /// whether the wider level 0 (fewer bucket rotations on
-    /// `Uniform`-latency sweeps, at the cost of a 4-word occupancy
-    /// scan) pays off before it is ever wired into the heuristic.
-    Wheel256,
 }
 
 /// The backend a [`Scheduler`] resolved to for a concrete run.
@@ -157,8 +146,6 @@ pub enum SchedBackend {
     Heap,
     /// Hierarchical timing wheel with heap overflow.
     Wheel,
-    /// The 256-slot-level-0 wheel variant (explicit probe only).
-    Wheel256,
 }
 
 impl SchedBackend {
@@ -167,7 +154,6 @@ impl SchedBackend {
         match self {
             SchedBackend::Heap => "heap",
             SchedBackend::Wheel => "wheel",
-            SchedBackend::Wheel256 => "wheel256",
         }
     }
 }
@@ -191,7 +177,6 @@ impl Scheduler {
         match self {
             Scheduler::Heap => SchedBackend::Heap,
             Scheduler::Wheel => SchedBackend::Wheel,
-            Scheduler::Wheel256 => SchedBackend::Wheel256,
             Scheduler::Auto => {
                 if near_now(latency) && near_now(cs_duration) {
                     SchedBackend::Wheel
@@ -365,20 +350,9 @@ impl<T> EventQueue<T> for HeapQueue<T> {
     }
 }
 
-/// Occupancy words a wheel's level 0 can need at most (256 slots / 64
-/// bits). The 64-slot default uses one word; the compiler
-/// constant-folds the per-word loops away for it.
-const MAX_OCC_WORDS: usize = 4;
-
 /// The hierarchical timing-wheel backend: `O(1)` push/pop for events
 /// within [`WHEEL_SPAN`] ticks of now, heap overflow beyond. See the
 /// [module docs](self) for the full design and determinism argument.
-///
-/// The level-0 slot count is a compile-time parameter (`2^SLOT_BITS0`
-/// one-tick slots; level 1 always has [`SLOTS`] buckets of `2^SLOT_BITS0`
-/// ticks each). The default is the measured 64-slot wheel; the 256-slot
-/// [`Wheel256Queue`] alias is the ROADMAP's micro-tuning probe,
-/// selected only by the explicit [`Scheduler::Wheel256`].
 ///
 /// # Examples
 ///
@@ -393,25 +367,24 @@ const MAX_OCC_WORDS: usize = 4;
 /// assert_eq!(q.pop_earliest(), Some((Time(1_000_000), "far")));
 /// assert!(q.is_empty());
 /// ```
-pub struct WheelQueue<T, const SLOT_BITS0: u32 = 6> {
-    /// Block (`at >> SLOT_BITS0`) level 0 currently covers.
+pub struct WheelQueue<T> {
+    /// Block (`at >> 6`) level 0 currently covers.
     block0: u64,
-    /// Super-block (`at >> (SLOT_BITS0 + 6)`) level 1 currently covers.
+    /// Super-block (`at >> 12`) level 1 currently covers.
     block1: u64,
     /// Absolute time of the last pop; level-0 scans start at its slot.
     cursor: u64,
     len: usize,
     /// Occupancy bitmask of `level0` (bit *s* set ⇔ slot *s*
-    /// non-empty), `2^SLOT_BITS0` bits spread over the first
-    /// `2^SLOT_BITS0 / 64` words.
-    occ0: [u64; MAX_OCC_WORDS],
+    /// non-empty).
+    occ0: u64,
     /// Occupancy bitmask of `level1`.
     occ1: u64,
-    /// One-tick FIFO slots; the slot index *is* the tick (mod the slot
-    /// count), so entries carry no key.
+    /// One-tick FIFO slots; the slot index *is* the tick (mod
+    /// [`SLOTS`]), so entries carry no key.
     level0: Vec<VecDeque<T>>,
-    /// `2^SLOT_BITS0`-tick buckets; entries keep their key for the
-    /// rotation down into level 0.
+    /// [`SLOTS`]-tick buckets; entries keep their key for the rotation
+    /// down into level 0.
     level1: Vec<Vec<Entry<T>>>,
     /// Far-future timers, beyond the current super-block — plus, after
     /// a lazy promotion, the unpromoted tail of the super-block the
@@ -426,34 +399,17 @@ pub struct WheelQueue<T, const SLOT_BITS0: u32 = 6> {
     last_seq: Option<u64>,
 }
 
-/// The 256-slot-level-0 wheel — the ROADMAP's per-protocol tuning
-/// probe. Wider level 0 means a 4× rarer bucket rotation for spread-out
-/// (`Uniform`) schedules, paid for with a 4-word occupancy scan per
-/// pop; the `engine_hot_loop` suite's `wheel256` cells measure whether
-/// that trade wins before `Auto` would ever adopt it.
-pub type Wheel256Queue<T> = WheelQueue<T, 8>;
-
-impl<T, const SLOT_BITS0: u32> WheelQueue<T, SLOT_BITS0> {
-    /// Level-0 slot count.
-    const SLOTS0: usize = 1 << SLOT_BITS0;
-    const MASK0: u64 = (1 << SLOT_BITS0) - 1;
-    /// Occupancy words level 0 actually uses.
-    const WORDS: usize = Self::SLOTS0.div_ceil(64);
-
+impl<T> WheelQueue<T> {
     /// An empty wheel with its cursor at [`Time::ZERO`].
     pub fn new() -> Self {
-        assert!(
-            (6..=8).contains(&SLOT_BITS0),
-            "wheel level 0 supports 64..=256 slots"
-        );
         WheelQueue {
             block0: 0,
             block1: 0,
             cursor: 0,
             len: 0,
-            occ0: [0; MAX_OCC_WORDS],
+            occ0: 0,
             occ1: 0,
-            level0: (0..Self::SLOTS0).map(|_| VecDeque::new()).collect(),
+            level0: (0..SLOTS).map(|_| VecDeque::new()).collect(),
             level1: (0..SLOTS).map(|_| Vec::new()).collect(),
             overflow: BinaryHeap::new(),
             promote_scratch: Vec::new(),
@@ -468,32 +424,12 @@ impl<T, const SLOT_BITS0: u32> WheelQueue<T, SLOT_BITS0> {
         self.stats
     }
 
-    #[inline]
-    fn occ0_set(&mut self, s: usize) {
-        self.occ0[s >> 6] |= 1 << (s & 63);
-    }
-
-    #[inline]
-    fn occ0_clear(&mut self, s: usize) {
-        self.occ0[s >> 6] &= !(1 << (s & 63));
-    }
-
-    /// First occupied level-0 slot at or after `start`, if any. One
-    /// masked `trailing_zeros` for the 64-slot wheel; up to
-    /// `Self::WORDS` of them for the wider probe.
+    /// First occupied level-0 slot at or after `start`, if any: one
+    /// masked `trailing_zeros`.
     #[inline]
     fn occ0_first_from(&self, start: usize) -> Option<usize> {
-        let word = start >> 6;
-        let masked = self.occ0[word] & (u64::MAX << (start & 63));
-        if masked != 0 {
-            return Some((word << 6) | masked.trailing_zeros() as usize);
-        }
-        for w in word + 1..Self::WORDS {
-            if self.occ0[w] != 0 {
-                return Some((w << 6) | self.occ0[w].trailing_zeros() as usize);
-            }
-        }
-        None
+        let masked = self.occ0 & (u64::MAX << start);
+        (masked != 0).then(|| masked.trailing_zeros() as usize)
     }
 
     /// Files `e` into its level-0 slot. Caller guarantees `e` lies in
@@ -501,10 +437,10 @@ impl<T, const SLOT_BITS0: u32> WheelQueue<T, SLOT_BITS0> {
     /// relative to the slot's existing tail.
     #[inline]
     fn file_into_level0(&mut self, e: Entry<T>) {
-        debug_assert_eq!(e.at().0 >> SLOT_BITS0, self.block0);
-        let s = (e.at().0 & Self::MASK0) as usize;
+        debug_assert_eq!(e.at().0 >> SLOT_BITS, self.block0);
+        let s = (e.at().0 & SLOT_MASK) as usize;
         self.level0[s].push_back(e.item);
-        self.occ0_set(s);
+        self.occ0 |= 1 << s;
     }
 
     /// Pops every overflow event belonging to level-0 block `block`
@@ -513,7 +449,7 @@ impl<T, const SLOT_BITS0: u32> WheelQueue<T, SLOT_BITS0> {
     #[inline]
     fn drain_overflow_block(&mut self, block: u64, into: &mut Vec<Entry<T>>) {
         while let Some(head) = self.overflow.peek() {
-            if head.at().0 >> SLOT_BITS0 != block {
+            if head.at().0 >> SLOT_BITS != block {
                 break;
             }
             into.push(self.overflow.pop().expect("just peeked"));
@@ -522,15 +458,15 @@ impl<T, const SLOT_BITS0: u32> WheelQueue<T, SLOT_BITS0> {
     }
 }
 
-impl<T, const SLOT_BITS0: u32> Default for WheelQueue<T, SLOT_BITS0> {
+impl<T> Default for WheelQueue<T> {
     fn default() -> Self {
         WheelQueue::new()
     }
 }
 
-impl<T, const SLOT_BITS0: u32> sealed::Sealed for WheelQueue<T, SLOT_BITS0> {}
+impl<T> sealed::Sealed for WheelQueue<T> {}
 
-impl<T, const SLOT_BITS0: u32> EventQueue<T> for WheelQueue<T, SLOT_BITS0> {
+impl<T> EventQueue<T> for WheelQueue<T> {
     #[inline]
     fn push(&mut self, at: Time, seq: u64, item: T) {
         debug_assert!(
@@ -548,14 +484,14 @@ impl<T, const SLOT_BITS0: u32> EventQueue<T> for WheelQueue<T, SLOT_BITS0> {
         }
         self.len += 1;
         let t = at.0;
-        if t >> SLOT_BITS0 == self.block0 {
+        if t >> SLOT_BITS == self.block0 {
             // The near-now common case: O(1) append, no key stored —
             // the slot *is* the tick and append order is seq order.
-            let s = (t & Self::MASK0) as usize;
+            let s = (t & SLOT_MASK) as usize;
             self.level0[s].push_back(item);
-            self.occ0_set(s);
-        } else if t >> (SLOT_BITS0 + SLOT_BITS) == self.block1 {
-            let b = ((t >> SLOT_BITS0) & SLOT_MASK) as usize;
+            self.occ0 |= 1 << s;
+        } else if t >> (2 * SLOT_BITS) == self.block1 {
+            let b = ((t >> SLOT_BITS) & SLOT_MASK) as usize;
             self.level1[b].push(Entry {
                 key: pack(at, seq),
                 item,
@@ -577,15 +513,15 @@ impl<T, const SLOT_BITS0: u32> EventQueue<T> for WheelQueue<T, SLOT_BITS0> {
         }
         loop {
             // Level 0: first occupied slot at or after the cursor.
-            let start = (self.cursor & Self::MASK0) as usize;
+            let start = (self.cursor & SLOT_MASK) as usize;
             if let Some(s) = self.occ0_first_from(start) {
                 let slot = &mut self.level0[s];
                 let item = slot.pop_front().expect("occupancy bit set on empty slot");
                 if slot.is_empty() {
-                    self.occ0_clear(s);
+                    self.occ0 &= !(1 << s);
                 }
                 self.len -= 1;
-                let at = (self.block0 << SLOT_BITS0) | s as u64;
+                let at = (self.block0 << SLOT_BITS) | s as u64;
                 self.cursor = at;
                 return Some((Time(at), item));
             }
@@ -600,7 +536,7 @@ impl<T, const SLOT_BITS0: u32> EventQueue<T> for WheelQueue<T, SLOT_BITS0> {
                 let b = self.occ1.trailing_zeros() as usize;
                 (b, (self.block1 << SLOT_BITS) | b as u64)
             });
-            let of_block = self.overflow.peek().map(|e| e.at().0 >> SLOT_BITS0);
+            let of_block = self.overflow.peek().map(|e| e.at().0 >> SLOT_BITS);
             let target = match (l1_block, of_block) {
                 (Some((_, lb)), Some(ob)) => lb.min(ob),
                 (Some((_, lb)), None) => lb,
@@ -610,7 +546,7 @@ impl<T, const SLOT_BITS0: u32> EventQueue<T> for WheelQueue<T, SLOT_BITS0> {
             debug_assert!(target > self.block0);
             self.block1 = target >> SLOT_BITS;
             self.block0 = target;
-            self.cursor = self.block0 << SLOT_BITS0;
+            self.cursor = self.block0 << SLOT_BITS;
 
             match l1_block {
                 Some((b, lb)) if lb == target => {
@@ -648,7 +584,7 @@ impl<T, const SLOT_BITS0: u32> EventQueue<T> for WheelQueue<T, SLOT_BITS0> {
                     // the heap at most once, and blocks the cursor
                     // never visits cost nothing.
                     while let Some(head) = self.overflow.peek() {
-                        if head.at().0 >> SLOT_BITS0 != target {
+                        if head.at().0 >> SLOT_BITS != target {
                             break;
                         }
                         let e = self.overflow.pop().expect("just peeked");
@@ -664,9 +600,9 @@ impl<T, const SLOT_BITS0: u32> EventQueue<T> for WheelQueue<T, SLOT_BITS0> {
         if self.len == 0 {
             return None;
         }
-        let start = (self.cursor & Self::MASK0) as usize;
+        let start = (self.cursor & SLOT_MASK) as usize;
         if let Some(s) = self.occ0_first_from(start) {
-            return Some(Time((self.block0 << SLOT_BITS0) | s as u64));
+            return Some(Time((self.block0 << SLOT_BITS) | s as u64));
         }
         // Lazy promotion can leave overflow events *earlier* than the
         // next level-1 bucket (the unpromoted tail of the current
@@ -714,18 +650,19 @@ impl<T, const SLOT_BITS0: u32> EventQueue<T> for WheelQueue<T, SLOT_BITS0> {
 /// The engine's concrete queue: static dispatch over the two sealed
 /// backends (a predictable branch, not a vtable, on the hottest loop in
 /// the workspace).
-pub(crate) enum ActiveQueue<T> {
+pub enum ActiveQueue<T> {
+    /// The binary-heap backend.
     Heap(HeapQueue<T>),
+    /// The timing-wheel backend.
     Wheel(WheelQueue<T>),
-    Wheel256(Wheel256Queue<T>),
 }
 
 impl<T> ActiveQueue<T> {
-    pub(crate) fn for_backend(backend: SchedBackend) -> Self {
+    /// An empty queue of the backend a [`Scheduler`] resolved to.
+    pub fn for_backend(backend: SchedBackend) -> Self {
         match backend {
             SchedBackend::Heap => ActiveQueue::Heap(HeapQueue::new()),
             SchedBackend::Wheel => ActiveQueue::Wheel(WheelQueue::new()),
-            SchedBackend::Wheel256 => ActiveQueue::Wheel256(Wheel256Queue::new()),
         }
     }
 }
@@ -738,7 +675,6 @@ impl<T> EventQueue<T> for ActiveQueue<T> {
         match self {
             ActiveQueue::Heap(q) => q.push(at, seq, item),
             ActiveQueue::Wheel(q) => q.push(at, seq, item),
-            ActiveQueue::Wheel256(q) => q.push(at, seq, item),
         }
     }
 
@@ -747,7 +683,6 @@ impl<T> EventQueue<T> for ActiveQueue<T> {
         match self {
             ActiveQueue::Heap(q) => q.pop_earliest(),
             ActiveQueue::Wheel(q) => q.pop_earliest(),
-            ActiveQueue::Wheel256(q) => q.pop_earliest(),
         }
     }
 
@@ -755,7 +690,6 @@ impl<T> EventQueue<T> for ActiveQueue<T> {
         match self {
             ActiveQueue::Heap(q) => q.peek_time(),
             ActiveQueue::Wheel(q) => q.peek_time(),
-            ActiveQueue::Wheel256(q) => q.peek_time(),
         }
     }
 
@@ -763,7 +697,6 @@ impl<T> EventQueue<T> for ActiveQueue<T> {
         match self {
             ActiveQueue::Heap(q) => q.len(),
             ActiveQueue::Wheel(q) => q.len(),
-            ActiveQueue::Wheel256(q) => q.len(),
         }
     }
 
@@ -771,7 +704,6 @@ impl<T> EventQueue<T> for ActiveQueue<T> {
         match self {
             ActiveQueue::Heap(q) => q.reserve(additional),
             ActiveQueue::Wheel(q) => q.reserve(additional),
-            ActiveQueue::Wheel256(q) => q.reserve(additional),
         }
     }
 
@@ -780,7 +712,6 @@ impl<T> EventQueue<T> for ActiveQueue<T> {
         match self {
             ActiveQueue::Heap(q) => q.drain_stats(),
             ActiveQueue::Wheel(q) => q.drain_stats(),
-            ActiveQueue::Wheel256(q) => q.drain_stats(),
         }
     }
 }
@@ -789,11 +720,11 @@ impl<T> EventQueue<T> for ActiveQueue<T> {
 mod tests {
     use super::*;
 
-    /// Pushes the same schedule into the heap and one wheel width and
+    /// Pushes the same schedule into the heap and the wheel and
     /// asserts identical pop sequences.
-    fn assert_equivalent_width<const B: u32>(schedule: &[(u64, &'static str)]) {
+    fn assert_equivalent(schedule: &[(u64, &'static str)]) {
         let mut heap = HeapQueue::new();
-        let mut wheel: WheelQueue<&'static str, B> = WheelQueue::new();
+        let mut wheel = WheelQueue::new();
         for (seq, &(at, label)) in schedule.iter().enumerate() {
             heap.push(Time(at), seq as u64, label);
             wheel.push(Time(at), seq as u64, label);
@@ -806,13 +737,6 @@ mod tests {
                 break;
             }
         }
-    }
-
-    /// [`assert_equivalent_width`] for both wheel widths — the 64-slot
-    /// default and the 256-slot probe share the determinism contract.
-    fn assert_equivalent(schedule: &[(u64, &'static str)]) {
-        assert_equivalent_width::<6>(schedule);
-        assert_equivalent_width::<8>(schedule);
     }
 
     #[test]
@@ -942,20 +866,16 @@ mod tests {
 
     #[test]
     fn peek_matches_next_pop_everywhere() {
-        fn check<const B: u32>() {
-            let mut wheel: WheelQueue<u64, B> = WheelQueue::new();
-            for (seq, at) in [7u64, 3, 3, 200, 9999, 40_000].into_iter().enumerate() {
-                wheel.push(Time(at), seq as u64, at);
-            }
-            while let Some(peeked) = wheel.peek_time() {
-                let (t, _) = wheel.pop_earliest().unwrap();
-                assert_eq!(peeked, t);
-            }
-            assert_eq!(wheel.peek_time(), None);
-            assert_eq!(wheel.pop_earliest(), None);
+        let mut wheel = WheelQueue::new();
+        for (seq, at) in [7u64, 3, 3, 200, 9999, 40_000].into_iter().enumerate() {
+            wheel.push(Time(at), seq as u64, at);
         }
-        check::<6>();
-        check::<8>();
+        while let Some(peeked) = wheel.peek_time() {
+            let (t, _) = wheel.pop_earliest().unwrap();
+            assert_eq!(peeked, t);
+        }
+        assert_eq!(wheel.peek_time(), None);
+        assert_eq!(wheel.pop_earliest(), None);
     }
 
     #[test]

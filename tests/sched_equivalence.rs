@@ -16,7 +16,7 @@
 //! recorded traces match event for event.
 
 use dagmutex::core::DagProtocol;
-use dagmutex::simnet::sched::{EventQueue, HeapQueue, Wheel256Queue, WheelQueue, WHEEL_SPAN};
+use dagmutex::simnet::sched::{EventQueue, HeapQueue, WheelQueue, WHEEL_SPAN};
 use dagmutex::simnet::{Engine, EngineConfig, LatencyModel, Scheduler, Time};
 use dagmutex::topology::{NodeId, Tree};
 use proptest::prelude::*;
@@ -74,11 +74,9 @@ proptest! {
     fn backends_pop_random_schedules_in_the_same_order(
         ops in prop::collection::vec(arb_op(), 1..200),
     ) {
-        // The heap is the reference; both wheel widths — the 64-slot
-        // default and the 256-slot probe — must reproduce it exactly.
+        // The heap is the reference; the wheel must reproduce it exactly.
         let mut heap: HeapQueue<u64> = HeapQueue::new();
         let mut wheel: WheelQueue<u64> = WheelQueue::new();
-        let mut wheel256: Wheel256Queue<u64> = Wheel256Queue::new();
         let mut seq = 0u64;
         let mut now = 0u64;
         for op in ops {
@@ -87,15 +85,12 @@ proptest! {
                     let at = Time(now + offset);
                     heap.push(at, seq, seq);
                     wheel.push(at, seq, seq);
-                    wheel256.push(at, seq, seq);
                     seq += 1;
                 }
                 Op::Pop => {
                     let h = heap.pop_earliest();
                     let w = wheel.pop_earliest();
-                    let w256 = wheel256.pop_earliest();
                     prop_assert_eq!(h, w);
-                    prop_assert_eq!(h, w256);
                     if let Some((t, _)) = h {
                         // Subsequent pushes respect the engine invariant
                         // of never scheduling into the past.
@@ -104,20 +99,17 @@ proptest! {
                 }
             }
             prop_assert_eq!(heap.len(), wheel.len());
-            prop_assert_eq!(heap.len(), wheel256.len());
         }
         // Drain whatever remains; order must agree to the last event.
         loop {
             let h = heap.pop_earliest();
             let w = wheel.pop_earliest();
-            let w256 = wheel256.pop_earliest();
             prop_assert_eq!(h, w);
-            prop_assert_eq!(h, w256);
             if h.is_none() {
                 break;
             }
         }
-        prop_assert!(heap.is_empty() && wheel.is_empty() && wheel256.is_empty());
+        prop_assert!(heap.is_empty() && wheel.is_empty());
     }
 
     #[test]
@@ -149,10 +141,7 @@ proptest! {
         };
         let (trace_heap, end_heap) = run(Scheduler::Heap);
         let (trace_wheel, end_wheel) = run(Scheduler::Wheel);
-        let (trace_wheel256, end_wheel256) = run(Scheduler::Wheel256);
         prop_assert_eq!(end_heap, end_wheel);
-        prop_assert_eq!(trace_heap.clone(), trace_wheel);
-        prop_assert_eq!(end_heap, end_wheel256);
-        prop_assert_eq!(trace_heap, trace_wheel256);
+        prop_assert_eq!(trace_heap, trace_wheel);
     }
 }
