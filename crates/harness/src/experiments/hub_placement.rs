@@ -8,8 +8,6 @@
 //! serialized request sequences drawn from the same weight distribution
 //! and measuring actual message counts.
 
-use std::time::Instant;
-
 use dmx_simnet::{EngineConfig, Time};
 use dmx_topology::{placement, NodeId};
 use dmx_workload::SingleShot;
@@ -97,109 +95,9 @@ pub fn run(n: usize, hot: NodeId, hot_share: f64, entries: usize) -> Table {
     table
 }
 
-/// One timed hub-placement cell for the bench suite.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HubMeasurement {
-    /// Which candidate hub (`"hot"` / `"cold"` / `"optimal"`).
-    pub candidate: &'static str,
-    /// The hub node's index.
-    pub hub: usize,
-    /// `placement::expected_messages_per_entry` prediction.
-    pub predicted: f64,
-    /// Simulated mean messages per entry.
-    pub measured: f64,
-    /// Wall-clock seconds for the simulated run.
-    pub elapsed_secs: f64,
-}
-
-/// The `placement` bench cells: the ext_hub scenario (10 nodes, node 7
-/// issues 60% of requests) timed for the hot, a cold, and the
-/// model-optimal hub — predicted vs simulated cost per candidate.
-pub fn bench_suite() -> Vec<HubMeasurement> {
-    let (n, hot, hot_share, entries) = (10usize, NodeId(7), 0.6, 4_000usize);
-    let cold_share = (1.0 - hot_share) / (n - 1) as f64;
-    let weights: Vec<f64> = (0..n)
-        .map(|i| {
-            if i == hot.index() {
-                hot_share
-            } else {
-                cold_share
-            }
-        })
-        .collect();
-    let (best_hub, _) = placement::optimal_star_hub(&weights);
-    let cold_hub = NodeId::from_index(if hot.index() == 0 { 1 } else { 0 });
-    let mut results = Vec::new();
-    for (candidate, hub) in [("hot", hot), ("cold", cold_hub), ("optimal", best_hub)] {
-        let predicted =
-            placement::expected_messages_per_entry(&placement::star_with_hub(n, hub), &weights);
-        let start = Instant::now();
-        let measured = measured_cost(&weights, hub, entries, 42);
-        let elapsed_secs = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-        eprintln!(
-            "hub_placement: {candidate:>7} hub {hub} predicted {predicted:.3} measured {measured:.3}"
-        );
-        results.push(HubMeasurement {
-            candidate,
-            hub: hub.index(),
-            predicted,
-            measured,
-            elapsed_secs,
-        });
-    }
-    results
-}
-
-/// Serializes hub measurements as a JSON array (hand-rolled, like the
-/// other suites).
-pub fn results_json(results: &[HubMeasurement]) -> String {
-    let mut out = String::from("[\n");
-    for (i, m) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"candidate\": \"{}\", \"hub\": {}, \"predicted\": {:.3}, \
-             \"measured\": {:.3}, \"elapsed_secs\": {:.6}}}{}\n",
-            m.candidate,
-            m.hub,
-            m.predicted,
-            m.measured,
-            m.elapsed_secs,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_suite_json_names_all_three_candidates() {
-        // The suite itself at bench scale is exercised by `repro --
-        // bench`; here we only pin the JSON shape on a cheap stand-in.
-        let rows = vec![
-            HubMeasurement {
-                candidate: "hot",
-                hub: 7,
-                predicted: 2.4,
-                measured: 2.41,
-                elapsed_secs: 0.01,
-            },
-            HubMeasurement {
-                candidate: "optimal",
-                hub: 7,
-                predicted: 2.4,
-                measured: 2.39,
-                elapsed_secs: 0.01,
-            },
-        ];
-        let json = results_json(&rows);
-        assert_eq!(json.matches("\"candidate\"").count(), 2);
-        assert!(json.trim_start().starts_with('['));
-        assert!(json.trim_end().ends_with(']'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
 
     #[test]
     fn prediction_matches_simulation() {

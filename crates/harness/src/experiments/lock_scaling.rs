@@ -14,22 +14,12 @@
 //! window × keys × n under one fixed workload, reporting envelopes and
 //! mean wait side by side — the latency-vs-envelope-count tradeoff the
 //! transport makes measurable.
-//!
-//! The `repro -- bench` subcommand additionally times a fixed subset of
-//! cells (`bench_suite`) and serializes them as the `multi_key` section
-//! of `BENCH_CURRENT.json`.
 
-use std::time::Instant;
+use dmx_lockspace::FlushPolicy;
+use dmx_workload::KeyDist;
 
-use dmx_lockspace::{FlushPolicy, LockSpace, LockSpaceConfig, LockSpaceMonitor, Placement};
-use dmx_simnet::{Engine, EngineConfig, LatencyModel, Scheduler, Time};
-use dmx_topology::Tree;
-use dmx_workload::{KeyDist, KeyedThinkTime};
-
+use super::SpaceCell;
 use crate::Table;
-
-/// Coalescing windows the sweep walks (1 tick ≡ `EveryTick`).
-pub const WINDOWS: [u64; 3] = [1, 4, 16];
 
 /// Per-node start stagger the window cells use: spreading the initial
 /// burst over a few ticks is the demand shape coalescing windows exist
@@ -37,114 +27,29 @@ pub const WINDOWS: [u64; 3] = [1, 4, 16];
 /// windows — not the workload — are what differs.
 pub const WINDOW_STAGGER: u64 = 4;
 
-/// Seed occupancy target for the adaptive cells (learned away by the
-/// EWMA from the first flush on).
-pub const ADAPTIVE_TARGET: f64 = 2.0;
+/// The learning transport as the sweep runs it. The occupancy target
+/// only seeds the learner (the EWMA takes over from the first flush on);
+/// the cap is the widest static window of the sweep, so adaptive can
+/// only win by flushing *earlier* when batches are already fat.
+pub const ADAPTIVE: FlushPolicy = FlushPolicy::Adaptive {
+    target_per_dst: 2.0,
+    max_window: 16,
+};
 
-/// `max_window` cap for the adaptive cells — the widest static window
-/// of the sweep, so adaptive can only win by flushing *earlier* when
-/// batches are already fat.
-pub const ADAPTIVE_CAP: u64 = 16;
-
-/// The flush policy for a window of `w` ticks (1 ≡ end-of-tick).
-pub fn flush_for_window(w: u64) -> FlushPolicy {
-    if w <= 1 {
-        FlushPolicy::EveryTick
-    } else {
-        FlushPolicy::Window(w)
-    }
-}
+/// Flush policies the window sweep walks, in table order: the three
+/// static windows (1 tick ≡ `EveryTick`), then the learner.
+pub const FLUSHES: [FlushPolicy; 4] = [
+    FlushPolicy::EveryTick,
+    FlushPolicy::Window(4),
+    FlushPolicy::Window(16),
+    ADAPTIVE,
+];
 
 /// Skews the sweep walks, with stable table labels.
 pub const SKEWS: [(&str, KeyDist); 2] = [
     ("uniform", KeyDist::Uniform),
     ("zipf-1.1", KeyDist::Zipf { exponent: 1.1 }),
 ];
-
-/// One multiplexed closed-loop run: `rounds` keyed entries per node over
-/// `keys` keys on a complete binary tree of `n` nodes, batching on.
-/// Returns the engine and monitor after verifying quiescence and per-key
-/// safety.
-///
-/// # Panics
-///
-/// Panics if the run violates per-key safety or liveness.
-pub fn run_cell(
-    n: usize,
-    keys: u32,
-    dist: KeyDist,
-    rounds: u32,
-    seed: u64,
-) -> (Engine<dmx_lockspace::LockSpaceNode>, LockSpaceMonitor) {
-    run_cell_with(n, keys, dist, rounds, seed, Scheduler::Auto)
-}
-
-/// [`run_cell`] under an explicit scheduler backend (the bench suite
-/// times both; both produce the identical simulated run).
-pub fn run_cell_with(
-    n: usize,
-    keys: u32,
-    dist: KeyDist,
-    rounds: u32,
-    seed: u64,
-    scheduler: Scheduler,
-) -> (Engine<dmx_lockspace::LockSpaceNode>, LockSpaceMonitor) {
-    run_cell_flush(
-        n,
-        keys,
-        dist,
-        rounds,
-        seed,
-        scheduler,
-        FlushPolicy::EveryTick,
-        1,
-    )
-}
-
-/// [`run_cell_with`] under an explicit transport [`FlushPolicy`] and
-/// per-node start stagger — the window-sweep kernel.
-///
-/// # Panics
-///
-/// Panics if the run violates per-key safety or liveness, or the flush
-/// policy is invalid.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_flush(
-    n: usize,
-    keys: u32,
-    dist: KeyDist,
-    rounds: u32,
-    seed: u64,
-    scheduler: Scheduler,
-    flush: FlushPolicy,
-    stagger: u64,
-) -> (Engine<dmx_lockspace::LockSpaceNode>, LockSpaceMonitor) {
-    let tree = Tree::kary(n, 2);
-    let workload = KeyedThinkTime::new(keys, dist, LatencyModel::Fixed(Time(0)), rounds, seed)
-        .with_stagger(stagger);
-    let config = LockSpaceConfig {
-        keys,
-        placement: Placement::Modulo,
-        hold: Time(1),
-        batching: true,
-        flush,
-        ..LockSpaceConfig::default()
-    };
-    let (nodes, monitor) = LockSpace::cluster(&tree, config, &workload);
-    let engine_config = EngineConfig {
-        record_trace: false,
-        scheduler,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(nodes, engine_config);
-    engine
-        .run_to_quiescence()
-        .expect("lock-space cell must quiesce");
-    monitor
-        .check_quiescent()
-        .expect("per-key safety and liveness verified");
-    (engine, monitor)
-}
 
 /// The sweep: `keys ∈ key_counts × skew ∈ {uniform, zipf} × n ∈ sizes`,
 /// `rounds` entries per node per cell.
@@ -166,7 +71,13 @@ pub fn run(sizes: &[usize], key_counts: &[u32], rounds: u32) -> Table {
     for &n in sizes {
         for &keys in key_counts {
             for (label, dist) in SKEWS {
-                let (engine, monitor) = run_cell(n, keys, dist, rounds, 42);
+                let (engine, monitor) = SpaceCell {
+                    skew: label,
+                    dist,
+                    rounds,
+                    ..SpaceCell::new(n, keys)
+                }
+                .run();
                 let rollup = monitor.rollup();
                 let envelopes = engine.metrics().messages_total;
                 let savings = if rollup.messages > 0 {
@@ -191,209 +102,18 @@ pub fn run(sizes: &[usize], key_counts: &[u32], rounds: u32) -> Table {
     table
 }
 
-/// One timed multi-key cell for the bench suite.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LockScalingMeasurement {
-    /// Key-space size.
-    pub keys: u32,
-    /// Node count.
-    pub n: usize,
-    /// Skew label (`"uniform"` / `"zipf-1.1"`).
-    pub skew: &'static str,
-    /// Scheduler backend the cell ran under (`"heap"` / `"wheel"`).
-    pub scheduler: &'static str,
-    /// Coalescing window in ticks (1 = end-of-tick flushing, the PR 2
-    /// behavior; wider windows trade latency for envelope count). For
-    /// the adaptive policy this is its `max_window` cap.
-    pub window: u64,
-    /// Flush-policy label (`"every-tick"` / `"window"` / `"adaptive"`).
-    pub flush: &'static str,
-    /// Engine events processed (deliveries + wake-ups).
-    pub events: u64,
-    /// Keyed critical-section entries completed.
-    pub grants: u64,
-    /// Keyed (pre-batching) messages carried.
-    pub keyed_messages: u64,
-    /// Envelopes (post-batching deliveries) carried.
-    pub envelopes: u64,
-    /// Mean request→grant wait in ticks (the latency side of the
-    /// window tradeoff).
-    pub mean_wait_ticks: f64,
-    /// Median request→grant wait in ticks.
-    pub p50_wait_ticks: u64,
-    /// 99th-percentile request→grant wait in ticks.
-    pub p99_wait_ticks: u64,
-    /// 99.9th-percentile request→grant wait in ticks.
-    pub p999_wait_ticks: u64,
-    /// Largest request→grant wait in ticks.
-    pub max_wait_ticks: u64,
-    /// Wall-clock seconds.
-    pub elapsed_secs: f64,
-}
-
-impl LockScalingMeasurement {
-    /// Engine events processed per second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.elapsed_secs
-    }
-
-    /// Keyed grants per second.
-    pub fn grants_per_sec(&self) -> f64 {
-        self.grants as f64 / self.elapsed_secs
-    }
-
-    /// Percentage of keyed messages batched away by the transport
-    /// (`0.0` when the cell carried no keyed traffic) — the single
-    /// definition of "batch savings" for tables and JSON.
-    pub fn savings_pct(&self) -> f64 {
-        if self.keyed_messages == 0 {
-            return 0.0;
-        }
-        100.0 * (1.0 - self.envelopes as f64 / self.keyed_messages as f64)
-    }
-}
-
-/// Times one cell (whole run, construction included — same convention
-/// as the single-lock hot-loop suite).
-///
-/// # Panics
-///
-/// Panics if the run violates per-key safety or liveness.
-pub fn measure(
-    n: usize,
-    keys: u32,
-    skew: &'static str,
-    dist: KeyDist,
-    rounds: u32,
-) -> LockScalingMeasurement {
-    measure_with(n, keys, skew, dist, rounds, Scheduler::Auto)
-}
-
-/// [`measure`] under an explicit scheduler backend.
-///
-/// # Panics
-///
-/// Panics if the run violates per-key safety or liveness.
-pub fn measure_with(
-    n: usize,
-    keys: u32,
-    skew: &'static str,
-    dist: KeyDist,
-    rounds: u32,
-    scheduler: Scheduler,
-) -> LockScalingMeasurement {
-    measure_window(n, keys, skew, dist, rounds, scheduler, 1, 1)
-}
-
-/// [`measure_with`] under an explicit coalescing window (in ticks; 1 ≡
-/// `EveryTick`) and per-node start stagger — the timed window-sweep
-/// cell.
-///
-/// # Panics
-///
-/// Panics if the run violates per-key safety or liveness.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_window(
-    n: usize,
-    keys: u32,
-    skew: &'static str,
-    dist: KeyDist,
-    rounds: u32,
-    scheduler: Scheduler,
-    window: u64,
-    stagger: u64,
-) -> LockScalingMeasurement {
-    let label = if window <= 1 { "every-tick" } else { "window" };
-    measure_flush(
-        n,
-        keys,
-        skew,
-        dist,
+/// One cell of the window sweep: uniform demand staggered by
+/// [`WINDOW_STAGGER`], so the flush policy is the only thing that varies.
+pub fn window_cell(n: usize, keys: u32, rounds: u32, flush: FlushPolicy) -> SpaceCell {
+    SpaceCell {
         rounds,
-        scheduler,
-        flush_for_window(window),
-        label,
-        window,
-        stagger,
-    )
-}
-
-/// [`measure_window`] for the learning transport: `FlushPolicy::
-/// Adaptive` seeded at `target_per_dst` with a `max_window` cap. The
-/// measurement's `window` field records the cap.
-///
-/// # Panics
-///
-/// Panics if the run violates per-key safety or liveness.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_adaptive(
-    n: usize,
-    keys: u32,
-    skew: &'static str,
-    dist: KeyDist,
-    rounds: u32,
-    scheduler: Scheduler,
-    target_per_dst: f64,
-    max_window: u64,
-    stagger: u64,
-) -> LockScalingMeasurement {
-    measure_flush(
-        n,
-        keys,
-        skew,
-        dist,
-        rounds,
-        scheduler,
-        FlushPolicy::Adaptive {
-            target_per_dst,
-            max_window,
-        },
-        "adaptive",
-        max_window,
-        stagger,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn measure_flush(
-    n: usize,
-    keys: u32,
-    skew: &'static str,
-    dist: KeyDist,
-    rounds: u32,
-    scheduler: Scheduler,
-    flush: FlushPolicy,
-    flush_label: &'static str,
-    window: u64,
-    stagger: u64,
-) -> LockScalingMeasurement {
-    let start = Instant::now();
-    let (engine, monitor) = run_cell_flush(n, keys, dist, rounds, 42, scheduler, flush, stagger);
-    let elapsed_secs = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-    let m = engine.metrics();
-    let events = m.requests + m.messages_total + m.cs_entries + m.wakes;
-    let rollup = monitor.rollup();
-    LockScalingMeasurement {
-        keys,
-        n,
-        skew,
-        scheduler: engine.sched_backend().name(),
-        window,
-        flush: flush_label,
-        events,
-        grants: rollup.grants,
-        keyed_messages: rollup.messages,
-        envelopes: m.messages_total,
-        mean_wait_ticks: rollup.mean_wait_ticks,
-        p50_wait_ticks: rollup.p50_wait_ticks,
-        p99_wait_ticks: rollup.p99_wait_ticks,
-        p999_wait_ticks: rollup.p999_wait_ticks,
-        max_wait_ticks: rollup.max_wait_ticks,
-        elapsed_secs,
+        flush,
+        stagger: WINDOW_STAGGER,
+        ..SpaceCell::new(n, keys)
     }
 }
 
-/// The window sweep: `window ∈ {1, 4, 16} × keys ∈ key_counts × n ∈
+/// The window sweep: `flush ∈ FLUSHES × keys ∈ key_counts × n ∈
 /// sizes`, all cells under the same staggered uniform workload so the
 /// coalescing window is the only thing that varies. Reports the
 /// latency-vs-envelope-count tradeoff the transport layer makes
@@ -416,194 +136,33 @@ pub fn run_windows(sizes: &[usize], key_counts: &[u32], rounds: u32) -> Table {
             "p999",
         ],
     );
-    let mut row = |m: &LockScalingMeasurement| {
-        table.row(&[
-            m.n.to_string(),
-            m.keys.to_string(),
-            if m.flush == "adaptive" {
-                format!("adaptive≤{}", m.window)
-            } else {
-                m.window.to_string()
-            },
-            m.grants.to_string(),
-            m.keyed_messages.to_string(),
-            m.envelopes.to_string(),
-            format!("{:.0}%", m.savings_pct()),
-            format!("{:.1}", m.mean_wait_ticks),
-            m.p50_wait_ticks.to_string(),
-            m.p99_wait_ticks.to_string(),
-            m.p999_wait_ticks.to_string(),
-        ]);
-    };
     for &n in sizes {
         for &keys in key_counts {
-            for window in WINDOWS {
-                row(&measure_window(
-                    n,
-                    keys,
-                    "uniform",
-                    KeyDist::Uniform,
-                    rounds,
-                    Scheduler::Auto,
-                    window,
-                    WINDOW_STAGGER,
-                ));
+            for flush in FLUSHES {
+                let m = window_cell(n, keys, rounds, flush).measure();
+                table.row(&[
+                    n.to_string(),
+                    keys.to_string(),
+                    match flush {
+                        FlushPolicy::EveryTick => "1".into(),
+                        FlushPolicy::Window(w) => w.to_string(),
+                        FlushPolicy::Adaptive { max_window, .. } => {
+                            format!("adaptive≤{max_window}")
+                        }
+                    },
+                    m.grants.to_string(),
+                    m.keyed_messages.to_string(),
+                    m.envelopes.to_string(),
+                    format!("{:.0}%", m.savings_pct()),
+                    format!("{:.1}", m.mean_wait_ticks),
+                    m.p50_wait_ticks.to_string(),
+                    m.p99_wait_ticks.to_string(),
+                    m.p999_wait_ticks.to_string(),
+                ]);
             }
-            row(&measure_adaptive(
-                n,
-                keys,
-                "uniform",
-                KeyDist::Uniform,
-                rounds,
-                Scheduler::Auto,
-                ADAPTIVE_TARGET,
-                ADAPTIVE_CAP,
-                WINDOW_STAGGER,
-            ));
         }
     }
     table
-}
-
-/// The `multi_key` bench cells: the keys ∈ {1, 64, 4096} ladder at
-/// n = 127, both skews (skew is meaningless at one key, so that cell
-/// runs uniform only), each timed under both scheduler backends — the
-/// lock space's end-of-tick flush wakes are the wheel's densest
-/// same-tick workload, so this is where the scheduling-core win has to
-/// show up at the subsystem level.
-pub fn bench_suite() -> Vec<LockScalingMeasurement> {
-    let mut results = Vec::new();
-    for (keys, rounds) in [(1u32, 2_000u32), (64, 1_000), (4_096, 200)] {
-        for (label, dist) in SKEWS {
-            if keys == 1 && label != "uniform" {
-                continue;
-            }
-            for scheduler in [Scheduler::Heap, Scheduler::Wheel] {
-                let _warmup = measure_with(127, keys, label, dist, (rounds / 20).max(1), scheduler);
-                let m = measure_with(127, keys, label, dist, rounds, scheduler);
-                eprintln!(
-                    "lock_scaling: keys={:<5} n=127 {:>8} {:>6} {:>12.0} events/s {:>10.0} grants/s",
-                    m.keys,
-                    m.skew,
-                    m.scheduler,
-                    m.events_per_sec(),
-                    m.grants_per_sec()
-                );
-                results.push(m);
-            }
-        }
-    }
-    // The window sweep: coalescing window is the only thing that varies
-    // within one keys ladder rung (same staggered workload, Auto
-    // scheduler), so the envelope savings of Window(k) vs EveryTick are
-    // read straight off adjacent rows.
-    for (keys, rounds) in [(64u32, 1_000u32), (4_096, 200)] {
-        for window in WINDOWS {
-            let _warmup = measure_window(
-                127,
-                keys,
-                "uniform",
-                KeyDist::Uniform,
-                (rounds / 20).max(1),
-                Scheduler::Auto,
-                window,
-                WINDOW_STAGGER,
-            );
-            let m = measure_window(
-                127,
-                keys,
-                "uniform",
-                KeyDist::Uniform,
-                rounds,
-                Scheduler::Auto,
-                window,
-                WINDOW_STAGGER,
-            );
-            eprintln!(
-                "lock_scaling: keys={:<5} n=127 window={:<3} {:>6} {:>12.0} events/s \
-                 {:>7.0}% batched away, mean wait {:.1} (p50 {} p99 {} p999 {})",
-                m.keys,
-                m.window,
-                m.scheduler,
-                m.events_per_sec(),
-                m.savings_pct(),
-                m.mean_wait_ticks,
-                m.p50_wait_ticks,
-                m.p99_wait_ticks,
-                m.p999_wait_ticks
-            );
-            results.push(m);
-        }
-        // The learning transport on the same demand: starts at the seed
-        // target, converges to the observed occupancy, capped at the
-        // widest static window.
-        let m = measure_adaptive(
-            127,
-            keys,
-            "uniform",
-            KeyDist::Uniform,
-            rounds,
-            Scheduler::Auto,
-            ADAPTIVE_TARGET,
-            ADAPTIVE_CAP,
-            WINDOW_STAGGER,
-        );
-        eprintln!(
-            "lock_scaling: keys={:<5} n=127 adaptive≤{:<2} {:>6} {:>12.0} events/s \
-             {:>7.0}% batched away, mean wait {:.1} (p50 {} p99 {} p999 {})",
-            m.keys,
-            m.window,
-            m.scheduler,
-            m.events_per_sec(),
-            m.savings_pct(),
-            m.mean_wait_ticks,
-            m.p50_wait_ticks,
-            m.p99_wait_ticks,
-            m.p999_wait_ticks
-        );
-        results.push(m);
-    }
-    results
-}
-
-/// Serializes measurements as a JSON array (hand-rolled, like the
-/// hot-loop suite — no external JSON dependency in this offline
-/// workspace).
-pub fn results_json(results: &[LockScalingMeasurement]) -> String {
-    let mut out = String::from("[\n");
-    for (i, m) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"keys\": {}, \"n\": {}, \"skew\": \"{}\", \
-             \"scheduler\": \"{}\", \"window\": {}, \"flush\": \"{}\", \"events\": {}, \
-             \"grants\": {}, \"keyed_messages\": {}, \"envelopes\": {}, \
-             \"mean_wait_ticks\": {:.2}, \"p50_wait_ticks\": {}, \
-             \"p99_wait_ticks\": {}, \"p999_wait_ticks\": {}, \
-             \"max_wait_ticks\": {}, \
-             \"elapsed_secs\": {:.6}, \"events_per_sec\": {:.0}, \
-             \"grants_per_sec\": {:.0}}}{}\n",
-            m.keys,
-            m.n,
-            m.skew,
-            m.scheduler,
-            m.window,
-            m.flush,
-            m.events,
-            m.grants,
-            m.keyed_messages,
-            m.envelopes,
-            m.mean_wait_ticks,
-            m.p50_wait_ticks,
-            m.p99_wait_ticks,
-            m.p999_wait_ticks,
-            m.max_wait_ticks,
-            m.elapsed_secs,
-            m.events_per_sec(),
-            m.grants_per_sec(),
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]");
-    out
 }
 
 #[cfg(test)]
@@ -625,19 +184,27 @@ mod tests {
 
     #[test]
     fn measure_counts_events_and_traffic() {
-        let m = measure(15, 16, "uniform", KeyDist::Uniform, 4);
+        let m = SpaceCell {
+            rounds: 4,
+            ..SpaceCell::new(15, 16)
+        }
+        .measure();
         assert_eq!(m.grants, 60);
         assert!(m.events > m.grants, "wakes + deliveries exceed grants");
         assert!(
             m.envelopes <= m.keyed_messages,
             "batching never adds envelopes"
         );
-        assert!(m.events_per_sec() > 0.0 && m.grants_per_sec() > 0.0);
+        assert!(m.events_per_sec() > 0.0);
     }
 
     #[test]
     fn percentiles_are_ordered_and_bracket_the_mean() {
-        let m = measure(15, 16, "uniform", KeyDist::Uniform, 6);
+        let m = SpaceCell {
+            rounds: 6,
+            ..SpaceCell::new(15, 16)
+        }
+        .measure();
         assert!(m.p50_wait_ticks <= m.p99_wait_ticks);
         assert!(m.p99_wait_ticks <= m.p999_wait_ticks);
         assert!(m.p999_wait_ticks <= m.max_wait_ticks);
@@ -650,36 +217,13 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let m = measure(15, 4, "uniform", KeyDist::Uniform, 2);
-        let json = results_json(&[m.clone(), m]);
-        assert_eq!(json.matches("\"keys\"").count(), 2);
-        assert_eq!(json.matches("\"window\": 1").count(), 2);
-        assert_eq!(json.matches("\"p999_wait_ticks\"").count(), 2);
-        assert!(json.trim_start().starts_with('['));
-        assert!(json.trim_end().ends_with(']'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
     fn wider_windows_cut_envelopes_for_the_same_demand() {
         // The acceptance property of the coalescing transport, at test
         // scale: Window(k) serves identical demand with fewer envelopes
         // than EveryTick, paying (at most) a bounded wait increase.
-        let cell = |window| {
-            measure_window(
-                15,
-                64,
-                "uniform",
-                KeyDist::Uniform,
-                30,
-                Scheduler::Auto,
-                window,
-                WINDOW_STAGGER,
-            )
-        };
-        let tick = cell(1);
-        let wide = cell(16);
+        let cell = |flush| window_cell(15, 64, 30, flush).measure();
+        let tick = cell(FlushPolicy::EveryTick);
+        let wide = cell(FlushPolicy::Window(16));
         assert_eq!(tick.grants, wide.grants, "same demand served");
         assert!(
             wide.envelopes < tick.envelopes,
@@ -710,34 +254,16 @@ mod tests {
         // hand-picked window, saves envelopes vs end-of-tick flushing
         // and lands within the static sweep's envelope range — it
         // learns a window instead of needing one tuned.
-        let cell = |window| {
-            measure_window(
-                15,
-                64,
-                "uniform",
-                KeyDist::Uniform,
-                30,
-                Scheduler::Auto,
-                window,
-                WINDOW_STAGGER,
-            )
-        };
-        let static_envelopes: Vec<u64> = WINDOWS.iter().map(|&w| cell(w).envelopes).collect();
+        let cell = |flush| window_cell(15, 64, 30, flush).measure();
+        let static_envelopes: Vec<u64> = FLUSHES[..3].iter().map(|&f| cell(f).envelopes).collect();
         let best = *static_envelopes.iter().min().unwrap();
         let worst = *static_envelopes.iter().max().unwrap();
-        let adaptive = measure_adaptive(
-            15,
-            64,
-            "uniform",
-            KeyDist::Uniform,
-            30,
-            Scheduler::Auto,
-            ADAPTIVE_TARGET,
-            ADAPTIVE_CAP,
-            WINDOW_STAGGER,
+        let adaptive = cell(ADAPTIVE);
+        assert_eq!(
+            adaptive.grants,
+            cell(FlushPolicy::EveryTick).grants,
+            "same demand served"
         );
-        assert_eq!(adaptive.flush, "adaptive");
-        assert_eq!(adaptive.grants, cell(1).grants, "same demand served");
         assert!(
             adaptive.envelopes < worst,
             "adaptive {} !< every-tick {}",

@@ -1,9 +1,8 @@
 //! One module per reproduced table/figure. See the crate docs for the
-//! experiment ↔ paper mapping and EXPERIMENTS.md for recorded outputs.
+//! experiment ↔ paper mapping; `repro <id>` prints any of them.
 
 pub mod average_bound;
 pub mod fairness;
-pub mod hot_loop;
 pub mod hub_placement;
 pub mod load_sweep;
 pub mod lock_scaling;
@@ -12,11 +11,14 @@ pub mod path_length;
 pub mod scaling;
 pub mod skew;
 pub mod snapshot_storm;
+mod space_cell;
 pub mod storage;
 pub mod sync_delay;
 pub mod topology_sweep;
 pub mod traces;
 pub mod upper_bound;
+
+pub use space_cell::{Hubs, Load, SpaceCell, SpaceMeasurement, AFFINITY};
 
 use dmx_simnet::{EngineConfig, Time};
 use dmx_topology::{NodeId, Tree};

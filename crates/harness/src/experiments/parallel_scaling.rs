@@ -27,9 +27,6 @@
 //! identical across every cell of a demand shape — shard maps, shard
 //! counts, and drivers never change results, only the critical path.
 //!
-//! The `repro -- bench` subcommand serializes all of it as the
-//! `parallel` section of `BENCH_CURRENT.json` (uniform cores ∈ {1, 2,
-//! 4, 8} plus the zipf-1.1 and hot-tenant map-comparison cells), and
 //! `repro -- ext_mega` runs the acceptance-scale cell: 1M keys × 10k
 //! nodes, completed deterministically at two shard counts.
 //!
@@ -107,8 +104,6 @@ pub struct ParallelScalingMeasurement {
     pub demand: &'static str,
     /// Shard map label (`"modulo"`, `"balanced"`).
     pub map: &'static str,
-    /// Window policy label (`"fixed"`, `"adaptive"`).
-    pub window: &'static str,
     /// Key-space size.
     pub keys: u32,
     /// Node count.
@@ -208,7 +203,6 @@ fn from_report(r: &ParallelReport, cell: &Cell) -> ParallelScalingMeasurement {
         mode: if cell.threads { "threaded" } else { "seq" },
         demand: cell.shape.label(),
         map: if cell.balanced { "balanced" } else { "modulo" },
-        window: if cell.adaptive { "adaptive" } else { "fixed" },
         keys: cell.keys,
         n: cell.n,
         events: r.events,
@@ -341,126 +335,6 @@ pub fn run(n: usize, keys: u32, rounds: u64) -> Table {
     table
 }
 
-/// The `parallel` bench cells:
-///
-/// 1. the historical uniform sweep — shards ∈ {1, 2, 4, 8} over a
-///    4096-key × 127-node paced demand, each shard count timed under
-///    both drivers (sequential for clean critical-path busy numbers,
-///    threaded for the real rendezvous cost on this host);
-/// 2. an adaptive-window variant of the uniform 1-shard and 8-shard
-///    threaded cells (the barrier-amortization story);
-/// 3. the skew cells — zipf-1.1 and hot-tenant 64-key × 127-node at 8
-///    shards, modulo vs balanced maps.
-///
-/// Digests are asserted identical across every cell of a demand shape.
-pub fn bench_suite() -> Vec<ParallelScalingMeasurement> {
-    let (n, keys, rounds) = (127usize, 4_096u32, 10u64);
-    let mut results = Vec::new();
-    let mut base_digest = None;
-    for shards in SHARD_COUNTS {
-        for threads in [false, true] {
-            let _warmup = measure(n, keys, 1, shards, threads);
-            let m = measure(n, keys, rounds, shards, threads);
-            let base = *base_digest.get_or_insert(m.grant_digest);
-            assert_eq!(m.grant_digest, base, "digest moved at K={shards}");
-            log_cell(&m);
-            results.push(m);
-        }
-    }
-    for shards in [1usize, 8] {
-        let cell = Cell {
-            adaptive: true,
-            ..Cell::uniform(n, keys, rounds, shards, true)
-        };
-        let _warmup = measure_cell(&Cell { rounds: 1, ..cell });
-        let m = measure_cell(&cell);
-        assert_eq!(
-            Some(m.grant_digest),
-            base_digest,
-            "adaptive windows moved the digest"
-        );
-        log_cell(&m);
-        results.push(m);
-    }
-    for shape in [DemandShape::Zipf, DemandShape::HotTenant] {
-        let mut shape_digest = None;
-        for balanced in [false, true] {
-            let cell = Cell {
-                n,
-                keys: SKEW_KEYS,
-                rounds: 200,
-                shards: 8,
-                threads: false,
-                shape,
-                balanced,
-                adaptive: false,
-            };
-            let _warmup = measure_cell(&Cell { rounds: 2, ..cell });
-            let m = measure_cell(&cell);
-            let base = *shape_digest.get_or_insert(m.grant_digest);
-            assert_eq!(m.grant_digest, base, "digest moved across maps ({shape:?})");
-            log_cell(&m);
-            results.push(m);
-        }
-    }
-    results
-}
-
-fn log_cell(m: &ParallelScalingMeasurement) {
-    eprintln!(
-        "parallel_scaling: shards={:<2} {:>8} {:>10} {:>8} {:>8} {:>12.0} wall events/s \
-         {:>12.0} critical-path events/s (imbalance {:.2}, {:.2}x potential)",
-        m.shards,
-        m.mode,
-        m.demand,
-        m.map,
-        m.window,
-        m.wall_events_per_sec(),
-        m.critical_events_per_sec(),
-        m.imbalance,
-        m.potential_speedup(),
-    );
-}
-
-/// Serializes measurements as a JSON array (hand-rolled, like the other
-/// suites — no JSON dependency in this offline workspace).
-pub fn results_json(results: &[ParallelScalingMeasurement]) -> String {
-    let mut out = String::from("[\n");
-    for (i, m) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"mode\": \"{}\", \"demand\": \"{}\", \
-             \"map\": \"{}\", \"window\": \"{}\", \"keys\": {}, \"n\": {}, \
-             \"events\": {}, \"grants\": {}, \"windows\": {}, \
-             \"critical_path_events\": {}, \"imbalance\": {:.3}, \
-             \"grant_digest\": \"{:016x}\", \
-             \"elapsed_secs\": {:.6}, \"busy_critical_secs\": {:.6}, \
-             \"wall_events_per_sec\": {:.0}, \"critical_events_per_sec\": {:.0}, \
-             \"potential_speedup\": {:.3}}}{}\n",
-            m.shards,
-            m.mode,
-            m.demand,
-            m.map,
-            m.window,
-            m.keys,
-            m.n,
-            m.events,
-            m.grants,
-            m.windows,
-            m.critical_path_events,
-            m.imbalance,
-            m.grant_digest,
-            m.elapsed_secs,
-            m.busy_critical_secs,
-            m.wall_events_per_sec(),
-            m.critical_events_per_sec(),
-            m.potential_speedup(),
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]");
-    out
-}
-
 /// The acceptance-scale run: **1M keys × 10k nodes**, completed at two
 /// shard counts whose digests must agree — the "deterministic
 /// million-key sweep" the parallel runtime exists for. Explicit-only
@@ -553,8 +427,8 @@ mod tests {
     #[test]
     fn balanced_map_beats_modulo_on_the_skewed_cell() {
         // The tentpole claim at test scale: same digest, materially
-        // better load spread (the bench suite guards the full ≥ 1.5×
-        // at the 127-node × 200-round scale).
+        // better load spread (`tests/perf_guards.rs` holds the full
+        // ≥ 1.5× at the 127-node × 200-round scale).
         let cell = |balanced| {
             measure_cell(&Cell {
                 n: 31,
@@ -583,16 +457,5 @@ mod tests {
             balanced.potential_speedup(),
             modulo.potential_speedup()
         );
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let m = measure(15, 16, 1, 2, false);
-        let json = results_json(&[m.clone(), m]);
-        assert_eq!(json.matches("\"shards\"").count(), 2);
-        assert_eq!(json.matches("\"imbalance\"").count(), 2);
-        assert!(json.trim_start().starts_with('['));
-        assert!(json.trim_end().ends_with(']'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

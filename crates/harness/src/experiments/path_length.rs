@@ -3,7 +3,7 @@
 //! Lavault's average-case analysis of path-reversal structures puts the
 //! expected number of hops a REQUEST travels before reaching the
 //! privilege holder at `O(log n)`. The simulator can simply measure it:
-//! with [`LockSpaceConfig::trace_paths`] on, every delivered REQUEST
+//! with [`SpaceCell::trace_paths`] on, every delivered REQUEST
 //! increments a per-origin hop counter and the grant records the total
 //! into a [`Histogram`] — so the whole measured distribution (not just
 //! the mean) lands next to `log₂ n` in one table.
@@ -15,47 +15,12 @@
 //! never exceeds the tree diameter — the distribution, not just its
 //! mean, is logarithmic.
 
-use dmx_lockspace::{FlushPolicy, LockSpace, LockSpaceConfig, LockSpaceMonitor, Placement};
 use dmx_simnet::metrics::Histogram;
-use dmx_simnet::{Engine, EngineConfig, LatencyModel, Time};
-use dmx_topology::Tree;
-use dmx_workload::{KeyDist, KeyedThinkTime};
+use dmx_workload::KeyDist;
 
 use super::lock_scaling::SKEWS;
+use super::SpaceCell;
 use crate::Table;
-
-/// One traced closed-loop run on a complete binary tree of `n` nodes:
-/// same workload shape as the `ext_lock` cells, with path tracing on.
-///
-/// # Panics
-///
-/// Panics if the run violates per-key safety or liveness.
-pub fn run_cell(n: usize, keys: u32, dist: KeyDist, rounds: u32, seed: u64) -> LockSpaceMonitor {
-    let tree = Tree::kary(n, 2);
-    let workload = KeyedThinkTime::new(keys, dist, LatencyModel::Fixed(Time(0)), rounds, seed);
-    let config = LockSpaceConfig {
-        keys,
-        placement: Placement::Modulo,
-        hold: Time(1),
-        batching: true,
-        flush: FlushPolicy::EveryTick,
-        trace_paths: true,
-        ..LockSpaceConfig::default()
-    };
-    let (nodes, monitor) = LockSpace::cluster(&tree, config, &workload);
-    let config = EngineConfig {
-        record_trace: false,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(nodes, config);
-    engine
-        .run_to_quiescence()
-        .expect("traced lock-space cell must quiesce");
-    monitor
-        .check_quiescent()
-        .expect("per-key safety and liveness verified");
-    monitor
-}
 
 /// `⌈log₂ n⌉`, the yardstick column (`n ≥ 1`).
 pub fn log2_ceil(n: usize) -> u32 {
@@ -85,13 +50,20 @@ impl PathLengths {
     }
 }
 
-/// Measures one cell and returns its hop distribution.
+/// Measures one traced cell — the `ext_lock` workload shape with path
+/// tracing on — and returns its hop distribution.
 ///
 /// # Panics
 ///
 /// Panics if the run violates per-key safety or liveness.
 pub fn measure(n: usize, keys: u32, dist: KeyDist, rounds: u32) -> PathLengths {
-    let monitor = run_cell(n, keys, dist, rounds, 42);
+    let (_, monitor) = SpaceCell {
+        dist,
+        rounds,
+        trace_paths: true,
+        ..SpaceCell::new(n, keys)
+    }
+    .run();
     PathLengths {
         n,
         hist: monitor.path_histogram(),

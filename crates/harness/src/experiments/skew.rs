@@ -12,17 +12,18 @@
 //!   the privilege — zero messages, zero DAG hops — until the window
 //!   closes or a queued remote REQUEST would wait past the fairness
 //!   budget.
-//! * **Skew-aware hub placement** ([`Placement::Profile`]): each key's
-//!   orientation DAG is seeded at the node a popularity profile names
-//!   as its hottest, so the *first* acquisition is already local.
+//! * **Skew-aware hub placement**
+//!   ([`dmx_lockspace::Placement::Profile`]): each key's orientation DAG
+//!   is seeded at the node a popularity profile names as its hottest, so
+//!   the *first* acquisition is already local.
 //! * **Naimi–Thiare quorum baseline**
 //!   ([`dmx_baselines::naimi_thiare`]): the flat `3(K−1)`-per-entry
 //!   floor quorum algorithms pay however local the demand is — the
 //!   structural reason a path-reversal DAG plus leases wins under skew.
 //!
-//! Two workload shapes per cell: symmetric [`KeyedThinkTime`] (every
-//! node draws from the same key distribution — continuity with
-//! `ext_lock`), and [`KeyedAffinity`] (each key has a home node issuing
+//! Two workload shapes per cell ([`Load`]): symmetric `KeyedThinkTime`
+//! (every node draws from the same key distribution — continuity with
+//! `ext_lock`), and `KeyedAffinity` (each key has a home node issuing
 //! most of its demand — the skewed-*and*-local shape leases and
 //! placement are designed for). The split matters because the two
 //! regimes have different physics: symmetric skew is a queueing bound
@@ -33,15 +34,14 @@
 //! re-grants. Per-key safety and liveness oracles verify every cell,
 //! leases included.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use dmx_lockspace::{LeaseConfig, LockSpace, LockSpaceConfig, LockSpaceMonitor, Placement};
-use dmx_simnet::{Engine, EngineConfig, LatencyModel, Time};
+use dmx_lockspace::LeaseConfig;
+use dmx_simnet::metrics::Metrics;
+use dmx_simnet::{EngineConfig, LatencyModel, Time};
 use dmx_topology::{NodeId, Tree};
-use dmx_workload::{KeyDist, KeyedAffinity, KeyedThinkTime, KeyedWorkload, ThinkTime};
+use dmx_workload::{KeyDist, ThinkTime};
 
 use super::lock_scaling::SKEWS;
+use super::{Hubs, Load, SpaceCell, SpaceMeasurement, AFFINITY};
 use crate::{run_algorithm, Algorithm, Scenario, Table};
 
 /// Lease window (ticks) the sweep runs with: the tightest setting that
@@ -63,208 +63,6 @@ pub const LEASE: LeaseConfig = LeaseConfig {
     fairness_budget: LEASE_BUDGET,
 };
 
-/// Home-node share of each key's demand in the affinity cells.
-pub const AFFINITY: f64 = 0.9;
-
-/// Ticks between consecutive node onsets in the affinity cells (see
-/// [`KeyedAffinity::with_onset_spacing`]).
-pub const ONSET_SPACING: u64 = 8;
-
-/// Which workload shape a DAG cell runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Load {
-    /// Symmetric [`KeyedThinkTime`]: every node, same key distribution.
-    Think,
-    /// [`KeyedAffinity`] at [`AFFINITY`]: each key's home node issues
-    /// most of its demand.
-    Affinity,
-}
-
-impl Load {
-    /// Stable label for tables and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            Load::Think => "think",
-            Load::Affinity => "affinity",
-        }
-    }
-}
-
-/// Which initial-placement policy a DAG cell runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Hubs {
-    /// `key % n` — the sharded-service default, blind to demand.
-    Modulo,
-    /// [`Placement::Profile`] seeded from the workload's
-    /// [`hub_profile`](KeyedAffinity::hub_profile) (affinity cells
-    /// only — symmetric demand has no hottest node).
-    Profile,
-}
-
-impl Hubs {
-    /// Stable label for tables and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            Hubs::Modulo => "modulo",
-            Hubs::Profile => "profile",
-        }
-    }
-}
-
-/// One measured cell of the skew sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SkewMeasurement {
-    /// `"dag"` or `"naimi-thiare"`.
-    pub algorithm: &'static str,
-    /// Node count.
-    pub n: usize,
-    /// Key-space size (1 for the single-lock quorum baseline).
-    pub keys: u32,
-    /// Skew label (`"uniform"` / `"zipf-1.1"`; `"flat"` for the quorum
-    /// baseline, whose cost has no locality term at all).
-    pub skew: &'static str,
-    /// Workload label (`"think"` / `"affinity"`).
-    pub workload: &'static str,
-    /// Placement label (`"modulo"` / `"profile"`; `"quorum"` for the
-    /// baseline).
-    pub placement: &'static str,
-    /// Lease window in ticks (0 = leases off).
-    pub lease_window: u64,
-    /// Critical-section entries completed.
-    pub grants: u64,
-    /// Grants served locally under a holder lease (zero messages).
-    pub lease_grants: u64,
-    /// Keyed (pre-batching) messages carried; wire messages for the
-    /// quorum baseline.
-    pub keyed_messages: u64,
-    /// Messages per grant.
-    pub msgs_per_grant: f64,
-    /// Mean request→grant wait in ticks.
-    pub mean_wait_ticks: f64,
-    /// Median request→grant wait in ticks.
-    pub p50_wait_ticks: u64,
-    /// 99th-percentile request→grant wait in ticks.
-    pub p99_wait_ticks: u64,
-    /// Wall-clock seconds for the cell.
-    pub elapsed_secs: f64,
-}
-
-impl SkewMeasurement {
-    /// Share of grants served under a lease, in percent.
-    pub fn leased_pct(&self) -> f64 {
-        if self.grants == 0 {
-            return 0.0;
-        }
-        100.0 * self.lease_grants as f64 / self.grants as f64
-    }
-}
-
-/// Runs one multiplexed DAG cell and measures it.
-///
-/// # Panics
-///
-/// Panics if the run violates per-key safety or liveness, or if
-/// [`Hubs::Profile`] is combined with [`Load::Think`] (symmetric demand
-/// has no per-key hottest node to place at).
-#[allow(clippy::too_many_arguments)]
-pub fn run_dag_cell(
-    n: usize,
-    keys: u32,
-    skew: &'static str,
-    dist: KeyDist,
-    load: Load,
-    hubs: Hubs,
-    lease: LeaseConfig,
-    rounds: u32,
-    seed: u64,
-) -> SkewMeasurement {
-    let start = Instant::now();
-    let tree = Tree::kary(n, 2);
-    let think = LatencyModel::Fixed(Time(0));
-    let (workload, profile): (Box<dyn KeyedWorkload>, Option<Vec<NodeId>>) = match load {
-        Load::Think => (
-            Box::new(KeyedThinkTime::new(keys, dist, think, rounds, seed).with_stagger(1)),
-            None,
-        ),
-        Load::Affinity => {
-            // Hot tenants run saturated from their onset; cold-tenant
-            // onsets spread 8 ticks apart (a fleet's background tenants
-            // do not all wake in the same tick — an unspaced start
-            // would measure a one-tick thundering herd, not skew).
-            let w = KeyedAffinity::new(keys, n, dist, AFFINITY, think, rounds, seed)
-                .with_onset_spacing(ONSET_SPACING);
-            let profile = w.hub_profile();
-            (Box::new(w), Some(profile))
-        }
-    };
-    let placement = match hubs {
-        Hubs::Modulo => Placement::Modulo,
-        Hubs::Profile => Placement::Profile(Arc::new(
-            profile.expect("profile placement needs an affinity workload"),
-        )),
-    };
-    let config = LockSpaceConfig {
-        keys,
-        placement,
-        hold: Time(1),
-        batching: true,
-        lease,
-        ..LockSpaceConfig::default()
-    };
-    let (nodes, monitor) = LockSpace::cluster(&tree, config, workload.as_ref());
-    let engine_config = EngineConfig {
-        record_trace: false,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(nodes, engine_config);
-    engine.run_to_quiescence().expect("skew cell must quiesce");
-    monitor
-        .check_quiescent()
-        .expect("per-key safety and liveness verified, leases included");
-    let elapsed_secs = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-    measurement_from(
-        &monitor,
-        n,
-        keys,
-        skew,
-        load.label(),
-        hubs.label(),
-        lease.window,
-        elapsed_secs,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn measurement_from(
-    monitor: &LockSpaceMonitor,
-    n: usize,
-    keys: u32,
-    skew: &'static str,
-    workload: &'static str,
-    placement: &'static str,
-    lease_window: u64,
-    elapsed_secs: f64,
-) -> SkewMeasurement {
-    let rollup = monitor.rollup();
-    SkewMeasurement {
-        algorithm: "dag",
-        n,
-        keys,
-        skew,
-        workload,
-        placement,
-        lease_window,
-        grants: rollup.grants,
-        lease_grants: monitor.lease_grants(),
-        keyed_messages: rollup.messages,
-        msgs_per_grant: rollup.messages_per_grant,
-        mean_wait_ticks: rollup.mean_wait_ticks,
-        p50_wait_ticks: rollup.p50_wait_ticks,
-        p99_wait_ticks: rollup.p99_wait_ticks,
-        elapsed_secs,
-    }
-}
-
 /// Runs the Naimi–Thiare quorum baseline: a single lock under a
 /// closed-loop think-time workload on `n` nodes. Its per-entry message
 /// bill is exactly `3(K−1)` with no locality term — the floor the
@@ -274,8 +72,7 @@ fn measurement_from(
 ///
 /// Panics if the closed-loop run starves (it cannot in a correct
 /// build).
-pub fn run_quorum_cell(n: usize, rounds: u32, seed: u64) -> SkewMeasurement {
-    let start = Instant::now();
+pub fn run_quorum_cell(n: usize, rounds: u32, seed: u64) -> Metrics {
     let tree = Tree::star(n);
     let scenario = Scenario {
         tree: &tree,
@@ -283,26 +80,8 @@ pub fn run_quorum_cell(n: usize, rounds: u32, seed: u64) -> SkewMeasurement {
         config: EngineConfig::default(),
     };
     let mut workload = ThinkTime::new(LatencyModel::Fixed(Time(0)), rounds, seed);
-    let metrics = run_algorithm(Algorithm::NaimiThiare, &scenario, &mut workload)
-        .expect("closed-loop quorum run cannot starve");
-    let hist = metrics.wait_histogram();
-    SkewMeasurement {
-        algorithm: "naimi-thiare",
-        n,
-        keys: 1,
-        skew: "flat",
-        workload: "think",
-        placement: "quorum",
-        lease_window: 0,
-        grants: metrics.cs_entries,
-        lease_grants: 0,
-        keyed_messages: metrics.messages_total,
-        msgs_per_grant: metrics.messages_per_entry(),
-        mean_wait_ticks: metrics.mean_wait_ticks().unwrap_or(0.0),
-        p50_wait_ticks: hist.p50(),
-        p99_wait_ticks: hist.p99(),
-        elapsed_secs: start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE),
-    }
+    run_algorithm(Algorithm::NaimiThiare, &scenario, &mut workload)
+        .expect("closed-loop quorum run cannot starve")
 }
 
 /// The six DAG cells of one `(keys, skew)` grid point, in table order:
@@ -314,7 +93,7 @@ pub fn grid_point(
     skew: &'static str,
     dist: KeyDist,
     rounds: u32,
-) -> Vec<SkewMeasurement> {
+) -> Vec<SpaceMeasurement> {
     let mut out = Vec::with_capacity(6);
     for (load, hubs) in [
         (Load::Think, Hubs::Modulo),
@@ -322,9 +101,16 @@ pub fn grid_point(
         (Load::Affinity, Hubs::Profile),
     ] {
         for lease in [LeaseConfig::OFF, LEASE] {
-            out.push(run_dag_cell(
-                n, keys, skew, dist, load, hubs, lease, rounds, 42,
-            ));
+            let cell = SpaceCell {
+                skew,
+                dist,
+                rounds,
+                load,
+                hubs,
+                lease,
+                ..SpaceCell::new(n, keys)
+            };
+            out.push(cell.measure());
         }
     }
     out
@@ -354,34 +140,47 @@ pub fn run(n: usize, key_counts: &[u32], rounds: u32) -> Table {
             "p99",
         ],
     );
-    let mut row = |m: &SkewMeasurement| {
-        table.row(&[
-            m.algorithm.to_string(),
-            m.keys.to_string(),
-            m.skew.to_string(),
-            m.workload.to_string(),
-            m.placement.to_string(),
-            if m.lease_window == 0 {
-                "off".into()
-            } else {
-                format!("{}t", m.lease_window)
-            },
-            m.grants.to_string(),
-            format!("{:.0}%", m.leased_pct()),
-            format!("{:.2}", m.msgs_per_grant),
-            format!("{:.1}", m.mean_wait_ticks),
-            m.p50_wait_ticks.to_string(),
-            m.p99_wait_ticks.to_string(),
-        ]);
-    };
     for &keys in key_counts {
         for (skew, dist) in SKEWS {
             for m in grid_point(n, keys, skew, dist, rounds) {
-                row(&m);
+                table.row(&[
+                    "dag".to_string(),
+                    m.cell.keys.to_string(),
+                    m.cell.skew.to_string(),
+                    m.cell.load.label().to_string(),
+                    m.cell.hubs.label().to_string(),
+                    if m.cell.lease.window == 0 {
+                        "off".into()
+                    } else {
+                        format!("{}t", m.cell.lease.window)
+                    },
+                    m.grants.to_string(),
+                    format!("{:.0}%", m.leased_pct()),
+                    format!("{:.2}", m.msgs_per_grant),
+                    format!("{:.1}", m.mean_wait_ticks),
+                    m.p50_wait_ticks.to_string(),
+                    m.p99_wait_ticks.to_string(),
+                ]);
             }
         }
     }
-    row(&run_quorum_cell(n, rounds.min(6), 42));
+    // The quorum baseline: one lock, no keys, no locality term.
+    let q = run_quorum_cell(n, rounds.min(6), 42);
+    let hist = q.wait_histogram();
+    table.row(&[
+        "naimi-thiare",
+        "1",
+        "flat",
+        "think",
+        "quorum",
+        "off",
+        &q.cs_entries.to_string(),
+        "0%",
+        &format!("{:.2}", q.messages_per_entry()),
+        &format!("{:.1}", q.mean_wait_ticks().unwrap_or(0.0)),
+        &hist.p50().to_string(),
+        &hist.p99().to_string(),
+    ]);
     table
 }
 
@@ -398,7 +197,7 @@ pub fn run(n: usize, key_counts: &[u32], rounds: u32) -> Table {
 /// key's serialized holds divided by each node's round count) — almost
 /// exactly the 50%-closure point. No token scheme can close that; the
 /// closable regime is skew *correlated with locality* (each hot key's
-/// demand concentrated at a hot tenant), which is what [`KeyedAffinity`]
+/// demand concentrated at a hot tenant), which is what `KeyedAffinity`
 /// models and what leases + placement serve. The suite publishes all
 /// twelve cells per key count so the decomposition stays transparent.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -482,23 +281,22 @@ fn regression(off: f64, on: f64) -> f64 {
 /// Extracts the [`SkewGap`] for `keys` from a suite's cells: the
 /// symmetric think cells anchor the baseline and the target, the
 /// affinity/profile/lease-on cell is the full stack.
-pub fn gap(results: &[SkewMeasurement], keys: u32) -> Option<SkewGap> {
-    let find = |skew: &str, workload: &str, placement: &str, lease_on: bool| {
+pub fn gap(results: &[SpaceMeasurement], keys: u32) -> Option<SkewGap> {
+    let find = |skew: &str, load: Load, hubs: Hubs, lease_on: bool| {
         results.iter().find(move |m| {
-            m.algorithm == "dag"
-                && m.keys == keys
-                && m.skew == skew
-                && m.workload == workload
-                && m.placement == placement
-                && (m.lease_window > 0) == lease_on
+            m.cell.keys == keys
+                && m.cell.skew == skew
+                && m.cell.load == load
+                && m.cell.hubs == hubs
+                && (m.cell.lease.window > 0) == lease_on
         })
     };
-    let uniform_base = find("uniform", "think", "modulo", false)?;
-    let uniform_lease = find("uniform", "think", "modulo", true)?;
-    let zipf_base = find("zipf-1.1", "think", "modulo", false)?;
-    let stack = find("zipf-1.1", "affinity", "profile", true)?;
-    let affinity_uniform_off = find("uniform", "affinity", "modulo", false)?;
-    let affinity_uniform_on = find("uniform", "affinity", "profile", true)?;
+    let uniform_base = find("uniform", Load::Think, Hubs::Modulo, false)?;
+    let uniform_lease = find("uniform", Load::Think, Hubs::Modulo, true)?;
+    let zipf_base = find("zipf-1.1", Load::Think, Hubs::Modulo, false)?;
+    let stack = find("zipf-1.1", Load::Affinity, Hubs::Profile, true)?;
+    let affinity_uniform_off = find("uniform", Load::Affinity, Hubs::Modulo, false)?;
+    let affinity_uniform_on = find("uniform", Load::Affinity, Hubs::Profile, true)?;
     Some(SkewGap {
         keys,
         uniform_base_mean: uniform_base.mean_wait_ticks,
@@ -514,117 +312,6 @@ pub fn gap(results: &[SkewMeasurement], keys: u32) -> Option<SkewGap> {
     })
 }
 
-/// The `skew` bench cells: the full grid at n = 127 for keys ∈ {64,
-/// 4096}, plus the quorum baseline.
-pub fn bench_suite() -> Vec<SkewMeasurement> {
-    let mut results = Vec::new();
-    for (keys, rounds) in [(64u32, 400u32), (4_096, 100)] {
-        for (skew, dist) in SKEWS {
-            for m in grid_point(127, keys, skew, dist, rounds) {
-                eprintln!(
-                    "skew: keys={:<5} {:>8} {:>8}/{:<7} lease={} mean {:>7.1} p99 {:>5} \
-                     msgs/grant {:>6.2} leased {:>3.0}%",
-                    m.keys,
-                    m.skew,
-                    m.workload,
-                    m.placement,
-                    m.lease_window,
-                    m.mean_wait_ticks,
-                    m.p99_wait_ticks,
-                    m.msgs_per_grant,
-                    m.leased_pct()
-                );
-                results.push(m);
-            }
-        }
-    }
-    let nt = run_quorum_cell(127, 6, 42);
-    eprintln!(
-        "skew: naimi-thiare n=127 msgs/grant {:.1} (flat, any skew) mean wait {:.1}",
-        nt.msgs_per_grant, nt.mean_wait_ticks
-    );
-    results.push(nt);
-    results
-}
-
-/// Serializes a suite as the `skew` JSON object: the cells plus the
-/// 64-key and 4096-key gap summaries (hand-rolled, like every other
-/// suite — no external JSON dependency).
-pub fn results_json(results: &[SkewMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "    \"lease_window\": {LEASE_WINDOW}, \"fairness_budget\": {LEASE_BUDGET}, \
-         \"affinity\": {AFFINITY},\n"
-    ));
-    out.push_str("    \"cells\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"algorithm\": \"{}\", \"n\": {}, \"keys\": {}, \"skew\": \"{}\", \
-             \"workload\": \"{}\", \"placement\": \"{}\", \"lease_window\": {}, \
-             \"grants\": {}, \"lease_grants\": {}, \"keyed_messages\": {}, \
-             \"msgs_per_grant\": {:.2}, \"mean_wait_ticks\": {:.2}, \
-             \"p50_wait_ticks\": {}, \"p99_wait_ticks\": {}, \"elapsed_secs\": {:.6}}}{}\n",
-            m.algorithm,
-            m.n,
-            m.keys,
-            m.skew,
-            m.workload,
-            m.placement,
-            m.lease_window,
-            m.grants,
-            m.lease_grants,
-            m.keyed_messages,
-            m.msgs_per_grant,
-            m.mean_wait_ticks,
-            m.p50_wait_ticks,
-            m.p99_wait_ticks,
-            m.elapsed_secs,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("    ],\n    \"gaps\": [");
-    let mut key_counts: Vec<u32> = results
-        .iter()
-        .filter(|m| m.algorithm == "dag")
-        .map(|m| m.keys)
-        .collect();
-    key_counts.sort_unstable();
-    key_counts.dedup();
-    let gaps: Vec<SkewGap> = key_counts
-        .into_iter()
-        .filter_map(|k| gap(results, k))
-        .collect();
-    for (i, g) in gaps.iter().enumerate() {
-        out.push_str(&format!(
-            "\n      {{\"keys\": {}, \"uniform_base_mean\": {:.2}, \"uniform_lease_mean\": {:.2}, \
-             \"zipf_base_mean\": {:.2}, \"stack_mean\": {:.2}, \
-             \"uniform_base_p99\": {}, \"uniform_lease_p99\": {}, \
-             \"zipf_base_p99\": {}, \"stack_p99\": {}, \
-             \"affinity_uniform_off_mean\": {:.2}, \"affinity_uniform_on_mean\": {:.2}, \
-             \"gap_closed_mean_pct\": {:.1}, \"gap_closed_p99_pct\": {:.1}, \
-             \"uniform_regression_pct\": {:.1}, \"affinity_uniform_regression_pct\": {:.1}}}{}",
-            g.keys,
-            g.uniform_base_mean,
-            g.uniform_lease_mean,
-            g.zipf_base_mean,
-            g.stack_mean,
-            g.uniform_base_p99,
-            g.uniform_lease_p99,
-            g.zipf_base_p99,
-            g.stack_p99,
-            g.affinity_uniform_off_mean,
-            g.affinity_uniform_on_mean,
-            g.closed_mean_pct(),
-            g.closed_p99_pct(),
-            g.uniform_regression_pct(),
-            g.affinity_uniform_regression_pct(),
-            if i + 1 == gaps.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("\n    ]\n  }");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,7 +324,7 @@ mod tests {
         // distance to the symmetric-uniform target.
         let zipf = grid_point(15, 16, "zipf-1.1", KeyDist::Zipf { exponent: 1.1 }, 60);
         let uniform = grid_point(15, 16, "uniform", KeyDist::Uniform, 60);
-        let all: Vec<SkewMeasurement> = zipf.into_iter().chain(uniform).collect();
+        let all: Vec<SpaceMeasurement> = zipf.into_iter().chain(uniform).collect();
         let g = gap(&all, 16).expect("grid covers the gap cells");
         eprintln!(
             "test-scale gap: baseline {:.2} -> stack {:.2} (target {:.2}), \
@@ -681,10 +368,10 @@ mod tests {
             eprintln!(
                 "{:>8} {:>8}/{:<7} lease={} grants {:>6} leased {:>3.0}% mean {:>7.2} \
                  p50 {:>4} p99 {:>5} msgs/grant {:>6.2}",
-                m.skew,
-                m.workload,
-                m.placement,
-                m.lease_window,
+                m.cell.skew,
+                m.cell.load.label(),
+                m.cell.hubs.label(),
+                m.cell.lease.window,
                 m.grants,
                 m.leased_pct(),
                 m.mean_wait_ticks,
@@ -706,17 +393,16 @@ mod tests {
     fn leased_cells_serve_identical_demand_with_fewer_messages() {
         let dist = KeyDist::Zipf { exponent: 1.1 };
         let cell = |lease| {
-            run_dag_cell(
-                15,
-                16,
-                "zipf-1.1",
+            SpaceCell {
+                skew: "zipf-1.1",
                 dist,
-                Load::Affinity,
-                Hubs::Modulo,
+                load: Load::Affinity,
                 lease,
-                40,
-                7,
-            )
+                rounds: 40,
+                seed: 7,
+                ..SpaceCell::new(15, 16)
+            }
+            .measure()
         };
         let off = cell(LeaseConfig::OFF);
         let on = cell(LEASE);
@@ -737,17 +423,15 @@ mod tests {
         // can't help a single acquisition).
         let dist = KeyDist::Zipf { exponent: 1.1 };
         let cell = |hubs| {
-            run_dag_cell(
-                15,
-                16,
-                "zipf-1.1",
+            SpaceCell {
+                skew: "zipf-1.1",
                 dist,
-                Load::Affinity,
+                load: Load::Affinity,
                 hubs,
-                LeaseConfig::OFF,
-                1,
-                11,
-            )
+                seed: 11,
+                ..SpaceCell::new(15, 16)
+            }
+            .measure()
         };
         let modulo = cell(Hubs::Modulo);
         let profile = cell(Hubs::Profile);
@@ -763,13 +447,12 @@ mod tests {
     #[test]
     fn quorum_baseline_pays_its_flat_bill() {
         let m = run_quorum_cell(13, 2, 5);
-        assert_eq!(m.algorithm, "naimi-thiare");
-        assert_eq!(m.grants, 26);
+        assert_eq!(m.cs_entries, 26);
         // 3(K-1) = 9 at N = 13, contended or not.
         assert!(
-            (m.msgs_per_grant - 9.0).abs() < 1e-9,
+            (m.messages_per_entry() - 9.0).abs() < 1e-9,
             "msgs/grant {}",
-            m.msgs_per_grant
+            m.messages_per_entry()
         );
     }
 
@@ -778,20 +461,6 @@ mod tests {
         let t = run(15, &[8], 4);
         // 1 key count × 2 skews × 6 cells + 1 quorum row.
         assert_eq!(t.len(), 13);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let cells = grid_point(15, 16, "zipf-1.1", KeyDist::Zipf { exponent: 1.1 }, 8);
-        let uniform = grid_point(15, 16, "uniform", KeyDist::Uniform, 8);
-        let mut all: Vec<SkewMeasurement> = cells.into_iter().chain(uniform).collect();
-        all.push(run_quorum_cell(13, 2, 5));
-        let json = results_json(&all);
-        assert_eq!(json.matches("\"algorithm\"").count(), 13);
-        assert!(json.contains("\"gap_closed_mean_pct\""));
-        assert!(json.contains("\"naimi-thiare\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.trim_start().starts_with('{'));
-        assert!(json.trim_end().ends_with('}'));
+        assert_eq!(t.cell(12, 0), "naimi-thiare");
     }
 }

@@ -15,6 +15,16 @@
 //! | `ext_hub` | weighted hub placement extension | [`experiments::hub_placement`] |
 //! | `ext_fair` | fairness extension | [`experiments::fairness`] |
 //! | `ext_lock` | lock-space scaling (keys × skew × n) | [`experiments::lock_scaling`] |
+//! | `ext_window` | coalescing-window sweep (window × keys × n) | [`experiments::lock_scaling::run_windows`] |
+//! | `ext_skew` | leases × hub placement × skew vs a quorum baseline | [`experiments::skew`] |
+//! | `ext_par`, `ext_mega` | parallel tick-barrier scaling | [`experiments::parallel_scaling`] |
+//! | `ext_path` | REQUEST path lengths vs Lavault's O(log n) bound | [`experiments::path_length`] |
+//! | `ext_snap` | live consistent cuts of a threaded cluster | [`experiments::snapshot_storm`] |
+//!
+//! Every cell these tables print is a deterministic *count* (messages,
+//! envelopes, ticks, hops) — `ext_snap`, a live threaded storm, excepted.
+//! Wall-clock time is measured by `dmxbench/` alone; the lock-space
+//! drivers all build their runs from one [`experiments::SpaceCell`].
 //!
 //! Run them all with `cargo run -p dmx-harness --bin repro --release`, or
 //! a single one by id: `cargo run -p dmx-harness --bin repro -- tab6_1`.

@@ -2,7 +2,7 @@ use std::fmt;
 
 /// A result table: a title, a header row, and string-valued cells,
 /// rendered as aligned GitHub-flavoured markdown so output can be pasted
-/// straight into EXPERIMENTS.md.
+/// straight into a document.
 ///
 /// # Examples
 ///

@@ -1,6 +1,6 @@
 //! End-to-end smoke tests for every experiment driver: each table
 //! regenerates with the right shape and reproduces the paper's key cells
-//! at reduced sizes (the full-size outputs live in EXPERIMENTS.md).
+//! at reduced sizes (`repro` prints the full-size outputs).
 
 use dagmutex::harness::experiments;
 
