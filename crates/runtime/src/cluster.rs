@@ -1,7 +1,43 @@
-use std::sync::Arc;
-use std::thread::JoinHandle;
+//! The in-process single-lock backend, [`Cluster`], and the node every
+//! threaded backend steps, `NodeCore`.
+//!
+//! # Threading
+//!
+//! A `Cluster` has no threads of its own. A node is a mutex around its
+//! `NodeCore` plus a FIFO inbox, and a protocol send is a push onto the
+//! peer's inbox. The thread that queues an input drains the node:
+//! `Mesh::deliver` pushes the input, then steps that node on the calling
+//! thread until its inbox is empty, and after it every node those steps
+//! sent to. A [`LockClient`] operation is one such delivery, so a
+//! hand-off runs on the releasing thread all the way to the grant it
+//! sends the next waiter — a protocol hop is a queue push, not a
+//! wake-up.
+//!
+//! * *Per-link FIFO*: a send is queued while the sender's core lock is
+//!   held, so `a`'s sends reach `b`'s inbox in the order `a` made them,
+//!   and `b` steps its inbox in queue order.
+//! * *Nothing is stranded*: a drain takes the core with `try_lock` and
+//!   skips the node when another thread holds it. That holder re-checks
+//!   the inbox after it unlocks, so an input queued meanwhile is stepped
+//!   by the holder, or by whoever takes the core next.
+//! * *No deadlock*: a thread holds at most one core lock, and a drain
+//!   takes it only via `try_lock` (shutdown's blocking `lock` holds
+//!   nothing else). Inbox locks are leaves: nothing is locked under one.
+//! * *Bounded drain*: a drain steps what is queued and never waits — the
+//!   messages in flight (one `REQUEST` per requesting node and one
+//!   `PRIVILEGE`) plus the inputs that arrive during it.
+//! * *Down*: [`Cluster::shutdown`] takes each core under its lock, marks
+//!   the inbox down and drops its queue. A core whose mutex is poisoned
+//!   (a step panicked, leaving it half-stepped) is marked down the same
+//!   way by the next drain that finds it. A down inbox refuses inputs
+//!   with [`LockError::ClusterDown`], and the acks it held drop, so
+//!   their waiters see the same error.
 
-use crossbeam::channel::{unbounded, Sender};
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+
+use crossbeam::channel::Sender;
 use dmx_core::{DagMessage, KeyedDagMessage, LockId};
 use dmx_lockspace::{Abandon, AgentEvent, KeyAgent, Placement};
 use dmx_topology::{NodeId, Tree};
@@ -11,6 +47,7 @@ use crate::service::{LockError, LockService, Reply};
 use crate::stats::{ClusterStats, NodeStats};
 
 /// Inputs one node's [`NodeCore::step`] processes.
+#[derive(Debug)]
 pub(crate) enum Input {
     /// Local user wants `key`'s critical section; reply on the channel
     /// when the privilege is local.
@@ -52,9 +89,9 @@ impl Input {
 /// One node of any threaded backend, sans IO: the [`KeyAgent`] (per-key
 /// [`DagNode`](dmx_core::DagNode)s and the local user's claims), the
 /// reply handle of the one claim that can be waiting, and the counters.
-/// Whoever holds an [`Input`] runs [`NodeCore::step`] — the node thread
-/// here, the reader and caller threads in [`crate::tcp`], the shard
-/// thread in [`crate::LockSpaceCluster`].
+/// Whoever holds an [`Input`] runs [`NodeCore::step`] — the thread that
+/// queued it here (see the module docs), the reader and caller threads
+/// in [`crate::tcp`], the shard thread in [`crate::LockSpaceCluster`].
 #[derive(Debug)]
 pub(crate) struct NodeCore {
     agent: KeyAgent,
@@ -89,7 +126,7 @@ impl NodeCore {
     }
 
     /// Drives the agent with one input, handing every send to
-    /// `transmit(to, message)` (channels here, sockets in
+    /// `transmit(to, message)` (peer inboxes here, sockets in
     /// [`crate::tcp`], the coalescing transport in the lock space) and
     /// every grant to the waiting user.
     pub(crate) fn step(&mut self, input: Input, mut transmit: impl FnMut(NodeId, KeyedDagMessage)) {
@@ -143,78 +180,190 @@ impl NodeCore {
     }
 }
 
-/// A running cluster: one thread per tree node executing the DAG
-/// algorithm. Obtain per-node [`LockClient`]s from [`Cluster::start`]
-/// and call [`Cluster::shutdown`] when done.
+/// What a node has been sent and not yet stepped.
+#[derive(Debug, Default)]
+struct Inbox {
+    queue: VecDeque<Input>,
+    /// Set by shutdown, or by the first drain to find the core poisoned:
+    /// the node refuses inputs.
+    down: bool,
+}
+
+/// One node of a [`Cluster`]: its protocol state and its inbox.
+#[derive(Debug)]
+struct Node {
+    /// `None` once the cluster is shut down.
+    core: Mutex<Option<NodeCore>>,
+    inbox: Mutex<Inbox>,
+}
+
+impl Node {
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        // Only a push, a pop or a clear runs under this lock, and each
+        // leaves the queue whole even if it panics.
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `input`, unless the node is down.
+    fn push(&self, input: Input) -> Result<(), LockError> {
+        let mut inbox = self.inbox();
+        if inbox.down {
+            return Err(LockError::ClusterDown);
+        }
+        inbox.queue.push_back(input);
+        Ok(())
+    }
+
+    /// The oldest queued input; the inbox lock is released on return.
+    fn pop(&self) -> Option<Input> {
+        self.inbox().queue.pop_front()
+    }
+
+    /// Refuses further inputs and drops the queued ones: their acks
+    /// drop, so their waiters see [`LockError::ClusterDown`].
+    fn take_down(&self) {
+        let mut inbox = self.inbox();
+        inbox.down = true;
+        inbox.queue.clear();
+    }
+
+    /// Takes the node down for good and returns its counters.
+    fn shut_down(&self) -> NodeStats {
+        // A poisoned core still has counters worth reporting.
+        let mut core = self.core.lock().unwrap_or_else(PoisonError::into_inner);
+        self.take_down();
+        // Dropping the core drops its waiter, too.
+        core.take()
+            .map_or_else(NodeStats::default, NodeCore::into_stats)
+    }
+}
+
+thread_local! {
+    /// The nodes this thread's drain has still to visit, kept between
+    /// deliveries so that draining allocates nothing in steady state.
+    static WORK: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
+}
+
+/// The nodes of one [`Cluster`], shared with its clients (see the module
+/// docs for how an input reaches a node).
+#[derive(Debug)]
+struct Mesh {
+    nodes: Box<[Node]>,
+}
+
+impl Mesh {
+    /// Queues `input` at node `to`, then drains it and every node it
+    /// sends to, on the calling thread.
+    ///
+    /// # Errors
+    ///
+    /// [`LockError::ClusterDown`] if `to` is down.
+    fn deliver(&self, to: NodeId, input: Input) -> Result<(), LockError> {
+        self.nodes[to.index()].push(input)?;
+        let mut work = WORK.take();
+        work.push(to);
+        while let Some(id) = work.pop() {
+            self.drain(id, &mut work);
+        }
+        WORK.set(work);
+        Ok(())
+    }
+
+    /// Steps node `id` until its inbox is empty, adding each node it
+    /// sends to to `work`; leaves it to whoever holds its core.
+    fn drain(&self, id: NodeId, work: &mut Vec<NodeId>) {
+        let node = &self.nodes[id.index()];
+        loop {
+            let mut core = match node.core.try_lock() {
+                Ok(core) => core,
+                // The holder re-checks the inbox after it unlocks.
+                Err(TryLockError::WouldBlock) => return,
+                Err(TryLockError::Poisoned(_)) => return node.take_down(),
+            };
+            let Some(stepper) = core.as_mut() else {
+                return; // shut down
+            };
+            while let Some(input) = node.pop() {
+                stepper.step(input, |to, msg| {
+                    // A down peer drops the message: the cluster is
+                    // stopping, or that node is already lost.
+                    let queued = self.nodes[to.index()].push(Input::Net { from: id, msg });
+                    if queued.is_ok() && work.last() != Some(&to) {
+                        work.push(to);
+                    }
+                });
+            }
+            drop(core);
+            if node.inbox().queue.is_empty() {
+                return;
+            }
+        }
+    }
+}
+
+/// A running in-process cluster executing the DAG algorithm, with no
+/// threads of its own: each client operation runs the nodes it reaches
+/// on the caller's thread (see the module docs). Obtain per-node
+/// [`LockClient`]s from [`Cluster::start`] and call
+/// [`Cluster::shutdown`] when done.
 ///
 /// See the [crate-level example](crate) for typical usage.
 #[derive(Debug)]
 pub struct Cluster {
-    /// Each node thread's input channel; `None` tells it to stop.
-    txs: Vec<Sender<Option<Input>>>,
-    joins: Vec<JoinHandle<NodeStats>>,
+    mesh: Arc<Mesh>,
 }
 
 impl Cluster {
-    /// Spawns one thread per node of `tree`, with the token initially at
+    /// Sets up every node of `tree`, with the token initially at
     /// `holder`, and returns the cluster plus one [`LockClient`] per
-    /// node (index = node id). The single lock is `LockId(0)`.
+    /// node (index = node id). The single lock is `LockId(0)`. No
+    /// thread is spawned.
     ///
     /// # Panics
     ///
     /// Panics if `holder` is out of range.
     pub fn start(tree: &Tree, holder: NodeId) -> (Cluster, Vec<LockClient>) {
-        let n = tree.len();
         let placement = Placement::Hub(holder);
-        placement.validate(n);
+        placement.validate(tree.len());
         let tree = Arc::new(tree.clone());
-
-        let (txs, rxs): (Vec<Sender<Option<Input>>>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-        let (mut joins, mut clients) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for (i, rx) in rxs.into_iter().enumerate() {
-            let me = NodeId::from_index(i);
+        let node = |me| {
             let agent = KeyAgent::new(me, Arc::clone(&tree), placement.clone(), 1);
-            let mut core = NodeCore::new(agent);
-            let (peers, tx) = (txs.clone(), txs[i].clone());
-            joins.push(std::thread::spawn(move || {
-                while let Ok(Some(input)) = rx.recv() {
-                    // A send can only fail during shutdown, when the
-                    // counters no longer matter.
-                    core.step(input, |to, msg| {
-                        let _ = peers[to.index()].send(Some(Input::Net { from: me, msg }));
-                    });
-                }
-                core.into_stats()
-            }));
-            clients.push(LockClient::new(me, 1, move |input| {
-                tx.send(Some(input)).map_err(|_| LockError::ClusterDown)
-            }));
-        }
-        (Cluster { txs, joins }, clients)
+            Node {
+                core: Mutex::new(Some(NodeCore::new(agent))),
+                inbox: Mutex::default(),
+            }
+        };
+        let mesh = Arc::new(Mesh {
+            nodes: tree.nodes().map(node).collect(),
+        });
+        let client = |me| {
+            let mesh = Arc::clone(&mesh);
+            LockClient::new(me, 1, move |input| mesh.deliver(me, input))
+        };
+        let clients = tree.nodes().map(client).collect();
+        (Cluster { mesh }, clients)
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.txs.len()
+        self.mesh.nodes.len()
     }
 
     /// `true` for a cluster with no nodes — consistent with
     /// [`Cluster::len`].
     pub fn is_empty(&self) -> bool {
-        self.txs.is_empty()
+        self.mesh.nodes.is_empty()
     }
 
-    /// Stops every node thread and returns the aggregated counters.
+    /// Takes every node down and returns the aggregated counters. There
+    /// are no threads to join: each core is taken under its lock, after
+    /// any drain stepping it.
     ///
     /// Outstanding [`LockGuard`](crate::LockGuard)s should be dropped
     /// first; a lock request issued after shutdown, or still waiting
     /// when it happens, fails with [`LockError::ClusterDown`].
     pub fn shutdown(self) -> ClusterStats {
-        for tx in &self.txs {
-            let _ = tx.send(None);
-        }
-        let join = |j: JoinHandle<NodeStats>| j.join().expect("node thread panicked");
-        ClusterStats::from_nodes(self.joins.into_iter().map(join).collect())
+        ClusterStats::from_nodes(self.mesh.nodes.iter().map(Node::shut_down).collect())
     }
 }
 
@@ -346,6 +495,150 @@ pub(crate) mod tests {
     fn waiter_blocked_across_shutdown_gets_cluster_down() {
         let (cluster, clients) = Cluster::start(&Tree::star(3), NodeId(1));
         assert_shutdown_fails_a_blocked_waiter(cluster, clients);
+    }
+
+    /// One thread per node takes the lock 2 000 times while node 3 gives
+    /// up after 50 µs, so abandon / adopt / release-now race the grants.
+    /// The threads start together, and the patient ones hold the lock
+    /// for 100 µs every fourth round: an in-process hand-off takes a few
+    /// µs, and a timed wait sleeps out the kernel's timer slack (about
+    /// 50 µs), so without the holds node 3 would rarely time out. Nobody
+    /// may enter twice, and afterwards every node can still take the
+    /// lock. Shared with the TCP backend's tests.
+    pub(crate) fn assert_storm_never_double_enters_or_wedges<S>(
+        service: S,
+        mut clients: Vec<LockClient>,
+    ) where
+        S: LockService<Stats = ClusterStats>,
+    {
+        const ROUNDS: usize = 2_000;
+        let inside = AtomicBool::new(false);
+        let (guards, timeouts) = (AtomicU64::new(0), AtomicU64::new(0));
+        let start = std::sync::Barrier::new(clients.len());
+        std::thread::scope(|scope| {
+            for client in &mut clients {
+                let (inside, guards, timeouts, start) = (&inside, &guards, &timeouts, &start);
+                scope.spawn(move || {
+                    let impatient = client.node() == NodeId(3);
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let request = client.lock(LockId(0));
+                        let guard = if impatient {
+                            request.timeout(Duration::from_micros(50))
+                        } else {
+                            request.wait()
+                        };
+                        match guard {
+                            Ok(guard) => {
+                                assert!(!inside.swap(true, Ordering::SeqCst), "double entry");
+                                guards.fetch_add(1, Ordering::Relaxed);
+                                if !impatient && round % 4 == 0 {
+                                    std::thread::sleep(Duration::from_micros(100));
+                                }
+                                inside.store(false, Ordering::SeqCst);
+                                drop(guard);
+                            }
+                            Err(LockError::Timeout) => {
+                                timeouts.fetch_add(1, Ordering::Relaxed);
+                                // Half the time, let the grant arrive
+                                // unclaimed instead of adopting it.
+                                if round % 2 == 0 {
+                                    std::thread::sleep(Duration::from_micros(300));
+                                }
+                            }
+                            Err(e) => panic!("storm acquisition failed: {e}"),
+                        }
+                    }
+                });
+            }
+        });
+        // No wedged token: every node can still take the lock.
+        for client in &mut clients {
+            drop(client.lock(LockId(0)).wait().unwrap());
+            guards.fetch_add(1, Ordering::Relaxed);
+        }
+        let stats = service.shutdown();
+        let timeouts = timeouts.into_inner();
+        assert!(timeouts > 0, "the impatient node never timed out");
+        assert_eq!(stats.entries, guards.into_inner());
+        let abandoned: u64 = stats.per_node.iter().map(|n| n.abandoned).sum();
+        assert!(abandoned <= timeouts, "{abandoned} abandoned > {timeouts}");
+    }
+
+    #[test]
+    fn storm_with_timeouts_never_double_enters_or_wedges_the_token() {
+        let (cluster, clients) = Cluster::start(&Tree::kary(7, 2), NodeId(0));
+        assert_storm_never_double_enters_or_wedges(cluster, clients);
+    }
+
+    /// Eight threads make 5 000 acquires each on `tree`, cycling through
+    /// the clients they own. Every acquire is bounded, so an input left
+    /// in an inbox with no drain to step it fails the test rather than
+    /// hanging it.
+    fn assert_no_input_is_stranded(tree: &Tree) {
+        const THREADS: usize = 8;
+        const ACQUIRES: usize = 5_000;
+        let (cluster, clients) = Cluster::start(tree, NodeId(0));
+        let mut owned: Vec<Vec<LockClient>> = (0..THREADS).map(|_| Vec::new()).collect();
+        for (i, client) in clients.into_iter().enumerate() {
+            owned[i % THREADS].push(client);
+        }
+        let inside = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for clients in &mut owned {
+                let inside = &inside;
+                scope.spawn(move || {
+                    let mine = clients.len();
+                    for round in 0..ACQUIRES {
+                        let client = &mut clients[round % mine];
+                        let node = client.node();
+                        let guard = client
+                            .lock(LockId(0))
+                            .timeout(Duration::from_secs(5))
+                            .unwrap_or_else(|e| panic!("acquire {round} at {node}: {e}"));
+                        assert!(!inside.swap(true, Ordering::SeqCst), "double entry");
+                        inside.store(false, Ordering::SeqCst);
+                        drop(guard);
+                    }
+                });
+            }
+        });
+        let stats = cluster.shutdown();
+        assert_eq!(stats.entries, (THREADS * ACQUIRES) as u64);
+        assert_eq!(stats.per_node.iter().map(|n| n.abandoned).sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn no_input_is_stranded_on_a_line() {
+        assert_no_input_is_stranded(&Tree::line(8));
+    }
+
+    #[test]
+    fn no_input_is_stranded_on_a_binary_tree() {
+        assert_no_input_is_stranded(&Tree::kary(15, 2));
+    }
+
+    #[test]
+    fn stray_privilege_panics_the_step_and_downs_the_node() {
+        let (cluster, mut clients) = Cluster::start(&Tree::star(3), NodeId(1));
+        // Node 2 is not requesting: a PRIVILEGE there is a protocol bug,
+        // and the step that meets it panics on the delivering thread.
+        let stray = net(1, LockId(0), DagMessage::Privilege);
+        let delivered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cluster.mesh.deliver(NodeId(2), stray)
+        }));
+        assert!(delivered.is_err(), "the stray PRIVILEGE must panic");
+        // The half-stepped core is never stepped again.
+        for _ in 0..2 {
+            assert_eq!(
+                clients[2].lock(LockId(0)).wait().unwrap_err(),
+                LockError::ClusterDown
+            );
+        }
+        // The rest of the cluster still serves: the token is at node 1.
+        drop(clients[1].lock(LockId(0)).try_now().unwrap());
+        drop(clients);
+        assert_eq!(cluster.shutdown().entries, 1);
     }
 
     /// Sans-IO cores on `Tree::line(n)`, every key's token at node 0.

@@ -5,8 +5,10 @@
 //! Three backends implement the same [`LockService`] and hand out the
 //! same [`LockClient`]/[`LockGuard`] pair:
 //!
-//! * [`Cluster`] — one OS thread per tree node, crossbeam channels
-//!   (per-sender FIFO, the paper's only network assumption);
+//! * [`Cluster`] — in-process, with no threads of its own: a send is a
+//!   push onto the peer's FIFO inbox (per-sender FIFO, the paper's only
+//!   network assumption), and the thread that queues an input runs the
+//!   node;
 //! * [`tcp::TcpCluster`] — loopback sockets, with no node thread: the
 //!   socket readers and the callers themselves run the node;
 //! * [`LockSpaceCluster`] — the sharded multi-key lock service:

@@ -7,7 +7,7 @@
 //! node steps and the simulated session drives too, so timeouts,
 //! abandonment and adoption cannot differ between substrates.
 //!
-//! Three runtimes serve the same distributed lock — the channel-based
+//! Three runtimes serve the same distributed lock — the in-process
 //! [`Cluster`](crate::Cluster), the sharded multi-key
 //! [`LockSpaceCluster`](crate::LockSpaceCluster), and the socket-based
 //! [`TcpCluster`](crate::tcp::TcpCluster). All three hand out the same
@@ -68,8 +68,9 @@ use crate::snapshot::LockSpaceSnapshot;
 /// Failure acquiring or releasing a distributed lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockError {
-    /// The cluster was shut down (or a node thread died) while the
-    /// request was outstanding.
+    /// The cluster was shut down, or the node is down because a thread
+    /// panicked while stepping it, or (lock space) a shard thread died,
+    /// while the request was outstanding.
     ClusterDown,
     /// The timeout window elapsed before every requested key was
     /// granted; partial multi-key acquisitions were rolled back.

@@ -6,7 +6,8 @@
 //! reliable delivery and per-connection FIFO — so the unchanged
 //! [`DagNode`](dmx_core::DagNode) state machine runs correctly on top.
 //! This is the deployment-shaped embodiment; for cheap in-process
-//! locking use the channel-based [`Cluster`](crate::Cluster).
+//! locking use [`Cluster`](crate::Cluster), which runs its nodes the
+//! same way over in-memory inboxes.
 //!
 //! # Threading
 //!
@@ -25,10 +26,15 @@
 //!   and its `write`s only, and a `write` needs nothing from the
 //!   receiver — nor can it fill a socket buffer, with at most `n`
 //!   REQUESTs and one PRIVILEGE (9 bytes each) in flight.
+//! * *Poison*: a panic inside `step` (a protocol bug, such as a
+//!   `PRIVILEGE` at a node that never asked) poisons the node's mutex
+//!   and leaves its core half-stepped, so the node is down from then
+//!   on: client operations fail with [`LockError::ClusterDown`], its
+//!   readers hang up, and its accept loop stops.
 //! * *[`TcpCluster::shutdown`]* marks every node down under its mutex,
 //!   so later client operations and acquisitions still waiting fail
 //!   with [`LockError::ClusterDown`], and returns once the accept loops
-//!   and every reader thread are joined.
+//!   and every reader thread are joined — a panicked one included.
 //!
 //! # Wire format
 //!
@@ -45,13 +51,12 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use dmx_core::{DagMessage, KeyedDagMessage, LockId};
 use dmx_lockspace::{KeyAgent, Placement};
 use dmx_topology::{NodeId, Tree};
-use parking_lot::Mutex;
 
 use crate::client::LockClient;
 use crate::cluster::{Input, NodeCore};
@@ -131,6 +136,12 @@ impl TcpNode {
     }
 }
 
+/// Locks `node`. A poisoned mutex means a thread panicked inside `step`
+/// and left the core half-stepped: the node is down.
+fn lock(node: &Mutex<TcpNode>) -> Result<MutexGuard<'_, TcpNode>, LockError> {
+    node.lock().map_err(|_| LockError::ClusterDown)
+}
+
 /// An accepted connection: a handle that unblocks its reader, and the reader.
 type Reader = (TcpStream, JoinHandle<()>);
 
@@ -204,7 +215,7 @@ impl TcpCluster {
             let (inbox, local) = (Arc::clone(&node), Arc::clone(&node));
             accept_joins.push(std::thread::spawn(move || accept_loop(listener, inbox)));
             clients.push(LockClient::new(me, 1, move |input| {
-                local.lock().step(input)
+                lock(&local)?.step(input)
             }));
             nodes.push(node);
         }
@@ -241,10 +252,13 @@ impl TcpCluster {
     /// fails with [`LockError::ClusterDown`].
     pub fn shutdown(self) -> ClusterStats {
         let down = |node: &Arc<Mutex<TcpNode>>| {
-            let mut node = node.lock();
-            node.outgoing.clear(); // clients keep the node alive, not its sockets
-            let core = node.core.take().expect("shutdown consumes the cluster");
-            core.into_stats() // its waiters drop here: they see ClusterDown
+            // A poisoned node still has counters worth reporting.
+            let mut node = node.lock().unwrap_or_else(PoisonError::into_inner);
+            // Clients keep the node alive, not its sockets.
+            node.outgoing.clear();
+            // Its waiters drop with the core: they see ClusterDown.
+            let core = node.core.take();
+            core.map_or_else(Default::default, NodeCore::into_stats)
         };
         let per_node = self.nodes.iter().map(down).collect();
         // Unblock the accept loops with one dummy connection each, and
@@ -252,10 +266,12 @@ impl TcpCluster {
         for addr in self.addrs.iter() {
             let _ = TcpStream::connect(addr);
         }
+        // A thread that panicked has already reported it, and downed its
+        // node: joining it is all that is left to do.
         for accept in self.accept_joins {
-            for (stream, reader) in accept.join().expect("accept loop panicked") {
+            for (stream, reader) in accept.join().unwrap_or_default() {
                 let _ = stream.shutdown(Shutdown::Both);
-                reader.join().expect("reader thread panicked");
+                let _ = reader.join();
             }
         }
         ClusterStats::from_nodes(per_node)
@@ -283,7 +299,7 @@ fn accept_loop(listener: TcpListener, node: Arc<Mutex<TcpNode>>) -> Vec<Reader> 
     let mut readers: Vec<Reader> = Vec::new();
     for stream in listener.incoming() {
         let Ok(stream) = stream else { break };
-        if node.lock().core.is_none() {
+        if lock(&node).map_or(true, |node| node.core.is_none()) {
             break;
         }
         let Ok(handle) = stream.try_clone() else {
@@ -299,24 +315,41 @@ fn accept_loop(listener: TcpListener, node: Arc<Mutex<TcpNode>>) -> Vec<Reader> 
     readers
 }
 
+/// An inbound connection, closed when its reader ends, even by a panic:
+/// the accept loop holds a second handle, so a reader that died without
+/// closing would leave its peer writing into a socket nobody reads.
+struct HangUp(TcpStream);
+
+impl Drop for HangUp {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
+    }
+}
+
 /// Runs every frame of one inbound connection through `node`, until the
 /// peer closes it, a frame fails [`decode`], or the node is down.
-fn reader_loop(mut stream: TcpStream, node: &Mutex<TcpNode>) {
-    let n = node.lock().addrs.len();
+fn reader_loop(stream: TcpStream, node: &Mutex<TcpNode>) {
+    let mut stream = HangUp(stream);
+    let Ok(n) = lock(node).map(|node| node.addrs.len()) else {
+        return;
+    };
     let mut frame = [0u8; FRAME_LEN];
-    while stream.read_exact(&mut frame).is_ok() {
+    while stream.0.read_exact(&mut frame).is_ok() {
         let Ok((from, msg)) = decode(&frame, n) else {
             break;
         };
         // The frame carries no key: this backend serves the one lock.
-        let lock = LockId(0);
-        let msg = KeyedDagMessage { lock, msg };
-        if node.lock().step(Input::Net { from, msg }).is_err() {
+        let msg = KeyedDagMessage {
+            lock: LockId(0),
+            msg,
+        };
+        if lock(node)
+            .and_then(|mut node| node.step(Input::Net { from, msg }))
+            .is_err()
+        {
             break;
         }
     }
-    // The accept loop holds a second handle: close explicitly.
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
@@ -479,56 +512,36 @@ mod tests {
 
     #[test]
     fn storm_with_timeouts_never_double_enters_or_wedges_the_token() {
-        const ROUNDS: usize = 2_000;
-        let (cluster, mut clients) = TcpCluster::start(&Tree::kary(7, 2), NodeId(0)).unwrap();
-        let inside = AtomicBool::new(false);
-        let (guards, timeouts) = (AtomicU64::new(0), AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for client in &mut clients {
-                let (inside, guards, timeouts) = (&inside, &guards, &timeouts);
-                scope.spawn(move || {
-                    // One impatient node, so abandon / adopt / release-now
-                    // race the reader threads' grants.
-                    let impatient = client.node() == NodeId(3);
-                    for round in 0..ROUNDS {
-                        let request = client.lock(LockId(0));
-                        let guard = if impatient {
-                            request.timeout(Duration::from_micros(50))
-                        } else {
-                            request.wait()
-                        };
-                        match guard {
-                            Ok(guard) => {
-                                assert!(!inside.swap(true, Ordering::SeqCst), "double entry");
-                                guards.fetch_add(1, Ordering::Relaxed);
-                                inside.store(false, Ordering::SeqCst);
-                                drop(guard);
-                            }
-                            Err(LockError::Timeout) => {
-                                timeouts.fetch_add(1, Ordering::Relaxed);
-                                // Half the time, let the grant arrive
-                                // unclaimed instead of adopting it.
-                                if round % 2 == 0 {
-                                    std::thread::sleep(Duration::from_micros(300));
-                                }
-                            }
-                            Err(e) => panic!("storm acquisition failed: {e}"),
-                        }
-                    }
-                });
-            }
-        });
-        // No wedged token: every node can still take the lock.
-        for client in &mut clients {
-            drop(client.lock(LockId(0)).wait().unwrap());
-            guards.fetch_add(1, Ordering::Relaxed);
+        let (cluster, clients) = TcpCluster::start(&Tree::kary(7, 2), NodeId(0)).unwrap();
+        crate::cluster::tests::assert_storm_never_double_enters_or_wedges(cluster, clients);
+    }
+
+    #[test]
+    fn stray_privilege_panics_the_reader_and_downs_the_node() {
+        let (cluster, mut clients) = TcpCluster::start(&Tree::star(3), NodeId(1)).unwrap();
+        // A well-formed PRIVILEGE "from" the holder to node 2, which is
+        // not requesting: the reader's step panics on the protocol bug.
+        let mut raw = TcpStream::connect(cluster.addr(NodeId(2))).unwrap();
+        raw.write_all(&encode(NodeId(1), &DagMessage::Privilege))
+            .unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // End of stream, not a read timeout.
+        assert_eq!(
+            raw.read(&mut [0u8; 1]).map_err(|e| e.kind()),
+            Ok(0),
+            "the panicking reader must hang up"
+        );
+        for _ in 0..2 {
+            assert_eq!(
+                clients[2].lock(LockId(0)).wait().unwrap_err(),
+                LockError::ClusterDown
+            );
         }
-        let stats = cluster.shutdown();
-        let timeouts = timeouts.into_inner();
-        assert!(timeouts > 0, "the impatient node never timed out");
-        assert_eq!(stats.entries, guards.into_inner());
-        let abandoned: u64 = stats.per_node.iter().map(|n| n.abandoned).sum();
-        assert!(abandoned <= timeouts, "{abandoned} abandoned > {timeouts}");
+        assert!(cluster.nodes[2].is_poisoned(), "the step panicked");
+        // The rest of the cluster still serves: the token is at node 1.
+        drop(clients[1].lock(LockId(0)).try_now().unwrap());
+        drop(clients);
+        assert_eq!(cluster.shutdown().entries, 1);
     }
 
     #[test]
