@@ -27,20 +27,17 @@
 
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError};
 use dmx_core::LockId;
 use dmx_topology::NodeId;
 use dmx_workload::{AcquireMode, Outcome, Script, SessionOp};
 
 use crate::cluster::Input;
+use crate::mailbox::ack;
 use crate::service::{LockError, Reply};
 
-/// How long an acquisition may block, and which error expiry maps to.
-#[derive(Debug, Clone, Copy)]
-enum WaitLimit {
-    Forever,
-    Until(Instant, LockError),
-}
+/// When an acquisition stops waiting (`None`: never), and which error
+/// that expiry maps to.
+type WaitLimit = Option<(Instant, LockError)>;
 
 /// The distributed-lock endpoint for one node of a running backend.
 ///
@@ -49,9 +46,10 @@ enum WaitLimit {
 pub struct LockClient {
     node: NodeId,
     keys: u32,
-    /// Hands one client operation to the node: over its thread's (or
-    /// the owning shard thread's) input channel, or (TCP) by running
-    /// the node on the calling thread.
+    /// Hands one client operation to the node: a push onto its inbox
+    /// (`Cluster`, which then drains the node on the calling thread), a
+    /// push onto the owning shard's inbox (lock space), or (TCP) a step
+    /// of the node on the calling thread.
     submit: Box<dyn Fn(Input) -> Result<(), LockError> + Send>,
 }
 
@@ -168,37 +166,26 @@ impl LockClient {
     /// One blocking (possibly bounded) acquisition; `Ok` means the key
     /// is held.
     fn acquire_key(&mut self, key: LockId, limit: WaitLimit) -> Result<(), LockError> {
-        let (ack_tx, ack_rx) = bounded(1);
-        (self.submit)(Input::Acquire(key, ack_tx))?;
-        match limit {
-            WaitLimit::Forever => match ack_rx.recv() {
-                Ok(Reply::Granted) => Ok(()),
-                Ok(Reply::Unavailable) => unreachable!("blocking acquire never bounces"),
-                Err(_) => Err(LockError::ClusterDown),
-            },
-            WaitLimit::Until(at, expired) => {
-                let left = at.saturating_duration_since(Instant::now());
-                match ack_rx.recv_timeout(left) {
-                    Ok(Reply::Granted) => Ok(()),
-                    Ok(Reply::Unavailable) => unreachable!("blocking acquire never bounces"),
-                    Err(RecvTimeoutError::Timeout) => {
-                        (self.submit)(Input::Abandon(key))?;
-                        Err(expired)
-                    }
-                    Err(RecvTimeoutError::Disconnected) => Err(LockError::ClusterDown),
-                }
+        let (ack, reply) = ack();
+        (self.submit)(Input::Acquire(key, ack))?;
+        match (reply.pop(limit.map(|(at, _)| at)), limit) {
+            (Ok(Reply::Granted), _) => Ok(()),
+            (Ok(Reply::Unavailable), _) => unreachable!("blocking acquire never bounces"),
+            (Err(LockError::Timeout), Some((_, expired))) => {
+                (self.submit)(Input::Abandon(key))?;
+                Err(expired)
             }
+            (Err(down), _) => Err(down),
         }
     }
 
     /// One non-blocking acquisition; `Ok` means the key is held.
     fn try_key(&mut self, key: LockId) -> Result<(), LockError> {
-        let (ack_tx, ack_rx) = bounded(1);
-        (self.submit)(Input::TryAcquire(key, ack_tx))?;
-        match ack_rx.recv() {
-            Ok(Reply::Granted) => Ok(()),
-            Ok(Reply::Unavailable) => Err(LockError::WouldBlock),
-            Err(_) => Err(LockError::ClusterDown),
+        let (ack, reply) = ack();
+        (self.submit)(Input::TryAcquire(key, ack))?;
+        match reply.pop(None)? {
+            Reply::Granted => Ok(()),
+            Reply::Unavailable => Err(LockError::WouldBlock),
         }
     }
 
@@ -230,7 +217,7 @@ impl<'a> LockRequest<'a> {
     ///
     /// [`LockError::ClusterDown`] if the cluster has shut down.
     pub fn wait(self) -> Result<LockGuard<'a>, LockError> {
-        self.client.acquire_key(self.key, WaitLimit::Forever)?;
+        self.client.acquire_key(self.key, None)?;
         Ok(LockGuard {
             key: self.key,
             client: self.client,
@@ -270,7 +257,7 @@ impl<'a> LockRequest<'a> {
                 other => other,
             };
         }
-        let limit = WaitLimit::Until(Instant::now() + window, LockError::Timeout);
+        let limit = Some((Instant::now() + window, LockError::Timeout));
         self.client.acquire_key(self.key, limit)?;
         Ok(LockGuard {
             key: self.key,
@@ -290,7 +277,7 @@ impl<'a> LockRequest<'a> {
             return Err(LockError::Deadline);
         }
         self.client
-            .acquire_key(self.key, WaitLimit::Until(at, LockError::Deadline))?;
+            .acquire_key(self.key, Some((at, LockError::Deadline)))?;
         Ok(LockGuard {
             key: self.key,
             client: self.client,
@@ -313,7 +300,7 @@ impl<'a> MultiRequest<'a> {
     /// [`LockError::ClusterDown`] if the cluster has shut down.
     pub fn wait(mut self) -> Result<MultiGuard<'a>, LockError> {
         let keys = std::mem::take(&mut self.keys);
-        self.client.acquire_all(&keys, WaitLimit::Forever)?;
+        self.client.acquire_all(&keys, None)?;
         self.keys = keys;
         Ok(self.into_guard())
     }
@@ -353,7 +340,7 @@ impl<'a> MultiRequest<'a> {
             };
         }
         let keys = std::mem::take(&mut self.keys);
-        let limit = WaitLimit::Until(Instant::now() + window, LockError::Timeout);
+        let limit = Some((Instant::now() + window, LockError::Timeout));
         self.client.acquire_all(&keys, limit)?;
         self.keys = keys;
         Ok(self.into_guard())
@@ -372,7 +359,7 @@ impl<'a> MultiRequest<'a> {
         }
         let keys = std::mem::take(&mut self.keys);
         self.client
-            .acquire_all(&keys, WaitLimit::Until(at, LockError::Deadline))?;
+            .acquire_all(&keys, Some((at, LockError::Deadline)))?;
         self.keys = keys;
         Ok(self.into_guard())
     }

@@ -22,40 +22,40 @@
 //!   by the holder, or by whoever takes the core next.
 //! * *No deadlock*: a thread holds at most one core lock, and a drain
 //!   takes it only via `try_lock` (shutdown's blocking `lock` holds
-//!   nothing else). Inbox locks are leaves: nothing is locked under one.
+//!   nothing else). An inbox or ack lock is taken last: closing an inbox
+//!   closes only the acks it held.
 //! * *Bounded drain*: a drain steps what is queued and never waits — the
 //!   messages in flight (one `REQUEST` per requesting node and one
 //!   `PRIVILEGE`) plus the inputs that arrive during it.
-//! * *Down*: [`Cluster::shutdown`] takes each core under its lock, marks
-//!   the inbox down and drops its queue. A core whose mutex is poisoned
-//!   (a step panicked, leaving it half-stepped) is marked down the same
-//!   way by the next drain that finds it. A down inbox refuses inputs
-//!   with [`LockError::ClusterDown`], and the acks it held drop, so
-//!   their waiters see the same error.
+//! * *Down*: [`Cluster::shutdown`] takes each core under its lock and
+//!   closes its inbox. A core whose mutex is poisoned (a step panicked,
+//!   leaving it half-stepped) has its inbox closed the same way by the
+//!   next drain that finds it. A closed inbox refuses inputs with
+//!   [`LockError::ClusterDown`], and the acks it held drop, so their
+//!   waiters see the same error.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 
-use crossbeam::channel::Sender;
 use dmx_core::{DagMessage, KeyedDagMessage, LockId};
 use dmx_lockspace::{Abandon, AgentEvent, KeyAgent, Placement};
 use dmx_topology::{NodeId, Tree};
 
 use crate::client::LockClient;
+use crate::mailbox::{Ack, Mailbox};
 use crate::service::{LockError, LockService, Reply};
 use crate::stats::{ClusterStats, NodeStats};
 
 /// Inputs one node's [`NodeCore::step`] processes.
 #[derive(Debug)]
 pub(crate) enum Input {
-    /// Local user wants `key`'s critical section; reply on the channel
+    /// Local user wants `key`'s critical section; reply on the ack
     /// when the privilege is local.
-    Acquire(LockId, Sender<Reply>),
+    Acquire(LockId, Ack),
     /// Local user wants `key` only if its token is here right now;
     /// reply [`Reply::Granted`] or [`Reply::Unavailable`] without ever
     /// sending a protocol message.
-    TryAcquire(LockId, Sender<Reply>),
+    TryAcquire(LockId, Ack),
     /// Local user left `key`'s critical section.
     Release(LockId),
     /// The user gave up waiting on `key` (a
@@ -97,7 +97,7 @@ pub(crate) struct NodeCore {
     agent: KeyAgent,
     /// Where the live claim's grant goes. (Left stale by an abandon;
     /// the next acquire replaces it before anything can be granted.)
-    waiter: Option<Sender<Reply>>,
+    waiter: Option<Ack>,
     /// Reused across steps, like the agent's own action buffer, so
     /// steady-state message handling allocates nothing.
     events: Vec<AgentEvent>,
@@ -144,7 +144,7 @@ impl NodeCore {
                 } else {
                     Reply::Unavailable
                 };
-                let _ = ack.send(reply);
+                ack.send(reply);
             }
             Input::Release(key) => self.agent.release(key, &mut self.events),
             // Still waiting (the grant will bounce on arrival) or already
@@ -172,7 +172,7 @@ impl NodeCore {
                 AgentEvent::Granted(_) => {
                     self.stats.entries += 1;
                     let ack = self.waiter.take().expect("a live claim has a waiter");
-                    let _ = ack.send(Reply::Granted);
+                    ack.send(Reply::Granted);
                 }
                 AgentEvent::Bounced(_) => self.stats.abandoned += 1,
             }
@@ -180,58 +180,21 @@ impl NodeCore {
     }
 }
 
-/// What a node has been sent and not yet stepped.
-#[derive(Debug, Default)]
-struct Inbox {
-    queue: VecDeque<Input>,
-    /// Set by shutdown, or by the first drain to find the core poisoned:
-    /// the node refuses inputs.
-    down: bool,
-}
-
-/// One node of a [`Cluster`]: its protocol state and its inbox.
+/// One node of a [`Cluster`]: its protocol state and its inbox, closed
+/// by shutdown or by the first drain to find the core poisoned.
 #[derive(Debug)]
 struct Node {
     /// `None` once the cluster is shut down.
     core: Mutex<Option<NodeCore>>,
-    inbox: Mutex<Inbox>,
+    inbox: Mailbox<Input>,
 }
 
 impl Node {
-    fn inbox(&self) -> MutexGuard<'_, Inbox> {
-        // Only a push, a pop or a clear runs under this lock, and each
-        // leaves the queue whole even if it panics.
-        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Queues `input`, unless the node is down.
-    fn push(&self, input: Input) -> Result<(), LockError> {
-        let mut inbox = self.inbox();
-        if inbox.down {
-            return Err(LockError::ClusterDown);
-        }
-        inbox.queue.push_back(input);
-        Ok(())
-    }
-
-    /// The oldest queued input; the inbox lock is released on return.
-    fn pop(&self) -> Option<Input> {
-        self.inbox().queue.pop_front()
-    }
-
-    /// Refuses further inputs and drops the queued ones: their acks
-    /// drop, so their waiters see [`LockError::ClusterDown`].
-    fn take_down(&self) {
-        let mut inbox = self.inbox();
-        inbox.down = true;
-        inbox.queue.clear();
-    }
-
     /// Takes the node down for good and returns its counters.
     fn shut_down(&self) -> NodeStats {
         // A poisoned core still has counters worth reporting.
         let mut core = self.core.lock().unwrap_or_else(PoisonError::into_inner);
-        self.take_down();
+        self.inbox.close();
         // Dropping the core drops its waiter, too.
         core.take()
             .map_or_else(NodeStats::default, NodeCore::into_stats)
@@ -259,7 +222,7 @@ impl Mesh {
     ///
     /// [`LockError::ClusterDown`] if `to` is down.
     fn deliver(&self, to: NodeId, input: Input) -> Result<(), LockError> {
-        self.nodes[to.index()].push(input)?;
+        self.nodes[to.index()].inbox.push(input)?;
         let mut work = WORK.take();
         work.push(to);
         while let Some(id) = work.pop() {
@@ -278,23 +241,25 @@ impl Mesh {
                 Ok(core) => core,
                 // The holder re-checks the inbox after it unlocks.
                 Err(TryLockError::WouldBlock) => return,
-                Err(TryLockError::Poisoned(_)) => return node.take_down(),
+                Err(TryLockError::Poisoned(_)) => return node.inbox.close(),
             };
             let Some(stepper) = core.as_mut() else {
                 return; // shut down
             };
-            while let Some(input) = node.pop() {
+            while let Some(input) = node.inbox.try_pop() {
                 stepper.step(input, |to, msg| {
                     // A down peer drops the message: the cluster is
                     // stopping, or that node is already lost.
-                    let queued = self.nodes[to.index()].push(Input::Net { from: id, msg });
+                    let queued = self.nodes[to.index()]
+                        .inbox
+                        .push(Input::Net { from: id, msg });
                     if queued.is_ok() && work.last() != Some(&to) {
                         work.push(to);
                     }
                 });
             }
             drop(core);
-            if node.inbox().queue.is_empty() {
+            if node.inbox.is_empty() {
                 return;
             }
         }
@@ -330,7 +295,7 @@ impl Cluster {
             let agent = KeyAgent::new(me, Arc::clone(&tree), placement.clone(), 1);
             Node {
                 core: Mutex::new(Some(NodeCore::new(agent))),
-                inbox: Mutex::default(),
+                inbox: Mailbox::new(),
             }
         };
         let mesh = Arc::new(Mesh {
@@ -463,38 +428,58 @@ pub(crate) mod tests {
         );
     }
 
-    /// On a star with node 1 holding the lock, node 2 blocks in `wait`,
-    /// the service stops, and node 2 must come back with `ClusterDown`.
-    /// Shared with the TCP backend's tests.
-    pub(crate) fn assert_shutdown_fails_a_blocked_waiter<S>(service: S, clients: Vec<LockClient>)
-    where
-        S: LockService<Stats = ClusterStats>,
-    {
-        let mut clients = clients.into_iter().skip(1);
-        let (mut c1, mut c2) = (clients.next().unwrap(), clients.next().unwrap());
+    /// On a star with node 1 holding key 0, node 2 blocks in `wait` and
+    /// node 0 in a 5 s `timeout`, the service stops, and both must come
+    /// back with `ClusterDown` long before the timeout. Returns the
+    /// stats, whose `entries` the caller asserts. Shared with the TCP
+    /// and lock-space backends' tests.
+    pub(crate) fn assert_shutdown_fails_a_blocked_waiter<S: LockService>(
+        service: S,
+        clients: Vec<LockClient>,
+    ) -> S::Stats {
+        let mut clients = clients.into_iter();
+        let (mut c0, mut c1, mut c2) = (
+            clients.next().unwrap(),
+            clients.next().unwrap(),
+            clients.next().unwrap(),
+        );
         let guard = c1.lock(LockId(0)).wait().unwrap();
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        let waiter = std::thread::spawn(move || {
-            let _ = tx.send(c2.lock(LockId(0)).wait().map(drop));
-        });
-        // Let node 2's acquisition register behind the held lock. (Should
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiters = [
+            std::thread::spawn({
+                let tx = tx.clone();
+                move || tx.send(c2.lock(LockId(0)).wait().map(drop)).unwrap()
+            }),
+            std::thread::spawn(move || {
+                let timed = c0.lock(LockId(0)).timeout(Duration::from_secs(5));
+                tx.send(timed.map(drop)).unwrap();
+            }),
+        ];
+        // Let both acquisitions register behind the held lock. (Should
         // shutdown win the race instead, the answer is the same error.)
         std::thread::sleep(Duration::from_millis(50));
         let stats = service.shutdown();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)),
-            Ok(Err(LockError::ClusterDown)),
-            "shutdown must not strand a blocked waiter"
-        );
-        waiter.join().unwrap();
+        for _ in &waiters {
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(4)),
+                Ok(Err(LockError::ClusterDown)),
+                "shutdown must not strand a blocked waiter"
+            );
+        }
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
         drop(guard); // releasing into a stopped cluster is a no-op
-        assert_eq!(stats.entries, 1);
+        stats
     }
 
     #[test]
     fn waiter_blocked_across_shutdown_gets_cluster_down() {
         let (cluster, clients) = Cluster::start(&Tree::star(3), NodeId(1));
-        assert_shutdown_fails_a_blocked_waiter(cluster, clients);
+        assert_eq!(
+            assert_shutdown_fails_a_blocked_waiter(cluster, clients).entries,
+            1
+        );
     }
 
     /// One thread per node takes the lock 2 000 times while node 3 gives
@@ -676,7 +661,7 @@ pub(crate) mod tests {
 
         // Node 2 asks: the REQUEST walks the line to the holder, the
         // PRIVILEGE comes straight back to the origin.
-        let (ack, granted) = crossbeam::channel::bounded(1);
+        let (ack, granted) = crate::mailbox::ack();
         assert_eq!(
             step(&mut cores[2], Input::Acquire(key, ack)),
             [(NodeId(1), keyed(request(2)))]
@@ -689,17 +674,17 @@ pub(crate) mod tests {
             step(&mut cores[0], net(1, key, request(1))),
             [(NodeId(2), keyed(DagMessage::Privilege))]
         );
-        assert!(granted.try_recv().is_err(), "not granted before the token");
+        assert_eq!(granted.try_pop(), None, "not granted before the token");
         assert_eq!(step(&mut cores[2], net(0, key, DagMessage::Privilege)), []);
-        assert_eq!(granted.try_recv(), Ok(Reply::Granted));
+        assert_eq!(granted.try_pop(), Some(Reply::Granted));
         // Exit with nobody queued: the token parks, nothing is sent.
         assert_eq!(step(&mut cores[2], Input::Release(key)), []);
 
         // A try succeeds exactly where the token is parked.
         for (node, reply) in [(2, Reply::Granted), (0, Reply::Unavailable)] {
-            let (ack, answer) = crossbeam::channel::bounded(1);
+            let (ack, answer) = crate::mailbox::ack();
             assert_eq!(step(&mut cores[node], Input::TryAcquire(key, ack)), []);
-            assert_eq!(answer.try_recv(), Ok(reply));
+            assert_eq!(answer.try_pop(), Some(reply));
         }
         let stats: Vec<NodeStats> = cores.into_iter().map(NodeCore::into_stats).collect();
         assert_eq!((stats[2].requests_sent, stats[2].entries), (1, 2));
@@ -711,20 +696,20 @@ pub(crate) mod tests {
     fn a_grant_that_raced_its_own_timeout_is_not_an_entry() {
         let mut core = line_of_cores(2).pop().expect("node 1");
         let key = LockId(2);
-        let (ack, granted) = crossbeam::channel::bounded(1);
+        let (ack, granted) = crate::mailbox::ack();
         assert_eq!(step(&mut core, Input::Acquire(key, ack)).len(), 1);
         assert_eq!(step(&mut core, net(0, key, DagMessage::Privilege)), []);
         // The grant is delivered, but the user's timeout fired first:
         // its abandon finds the node inside the critical section.
-        assert_eq!(granted.try_recv(), Ok(Reply::Granted));
+        assert_eq!(granted.try_pop(), Some(Reply::Granted));
         assert_eq!(step(&mut core, Input::Abandon(key)), [], "it parks");
         assert_eq!(step(&mut core, Input::Abandon(key)), [], "now stale");
         assert_eq!((core.stats.entries, core.stats.abandoned), (0, 1));
 
         // The key's token is idle here: a try takes it without a message.
-        let (ack, answer) = crossbeam::channel::bounded(1);
+        let (ack, answer) = crate::mailbox::ack();
         assert_eq!(step(&mut core, Input::TryAcquire(key, ack)), []);
-        assert_eq!(answer.try_recv(), Ok(Reply::Granted));
+        assert_eq!(answer.try_pop(), Some(Reply::Granted));
         assert_eq!(core.into_stats().entries, 1);
     }
 

@@ -6,14 +6,13 @@
 //! same [`LockClient`]/[`LockGuard`] pair:
 //!
 //! * [`Cluster`] — in-process, with no threads of its own: a send is a
-//!   push onto the peer's FIFO inbox (per-sender FIFO, the paper's only
-//!   network assumption), and the thread that queues an input runs the
-//!   node;
+//!   push onto the peer's inbox, and the thread that queues an input
+//!   runs the node;
 //! * [`tcp::TcpCluster`] — loopback sockets, with no node thread: the
 //!   socket readers and the callers themselves run the node;
 //! * [`LockSpaceCluster`] — the sharded multi-key lock service:
-//!   shared-nothing shard threads (`workers` per node) over the
-//!   simulator's coalescing transport.
+//!   shared-nothing shard threads (`workers` per node), each parked on
+//!   its own inbox, over the simulator's coalescing transport.
 //!
 //! All three step the same node — `NodeCore::step`, a
 //! [`dmx_lockspace::KeyAgent`] plus a reply handle and counters — and
@@ -61,6 +60,7 @@
 mod client;
 mod cluster;
 mod lockspace;
+mod mailbox;
 pub mod service;
 pub mod snapshot;
 mod stats;

@@ -15,20 +15,21 @@
 //! (release-on-grant; the paper has no cancel message) and request
 //! adoption are one implementation on every backend — and its own
 //! [`Transport`] (`dmx-lockspace`'s coalescing layer, the identical
-//! grouping code the simulated `LockSpace` flushes through). Its loop
-//! is the single-lock node loop with staging in place of sending: take
-//! one input, run `NodeCore::step`, stage the sends, and flush one
-//! envelope per destination when the [`FlushPolicy`]'s cap is hit or
-//! the inbox goes idle.
+//! grouping code the simulated `LockSpace` flushes through). Its thread
+//! pops one input at a time from the shard's inbox, runs
+//! `NodeCore::step`, stages the sends, and flushes one envelope per
+//! destination when the [`FlushPolicy`]'s cap is hit or the inbox goes
+//! idle; with nothing staged and nothing queued, it parks on the inbox.
 //!
 //! The key → shard map is the same on every node, so shard `s` of node
 //! `i` only ever talks to shard `s` of node `j` (one *shard plane* per
-//! `s`), and a client sends each operation straight to the shard that
-//! owns its key: a protocol hop is one channel send and one wake-up.
+//! `s`), and a client pushes each operation straight onto the inbox of
+//! the shard that owns its key: a protocol hop is one push onto the
+//! peer shard's inbox, plus a wake-up if that shard is parked.
 //!
 //! The wire therefore carries [`Envelope::One`]/[`Envelope::Batch`]
 //! exactly like the simulator's network: a shard forwarding many keys'
-//! traffic to the same peer pays one channel send, not one per key.
+//! traffic to the same peer pays one push, not one per key.
 //! Locking key `k` from node `i` still runs exactly the per-key
 //! algorithm the simulator measures: `REQUEST`s hop toward `k`'s sink,
 //! the `PRIVILEGE` parks where demand is.
@@ -56,17 +57,18 @@
 //! # Ok::<(), dmx_runtime::LockError>(())
 //! ```
 
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use dmx_core::{DagNode, LockId};
 use dmx_lockspace::{BatchPool, Envelope, FlushPolicy, KeyAgent, Placement, Transport};
 use dmx_topology::{NodeId, Tree};
 
 use crate::client::LockClient;
 use crate::cluster::{Input as NodeInput, NodeCore};
-use crate::service::{LockError, LockService};
+use crate::mailbox::Mailbox;
+use crate::service::LockService;
 use crate::snapshot::{KeyCut, LockSpaceSnapshot, NodeCut};
 
 /// Threaded lock-space parameters.
@@ -119,6 +121,7 @@ impl Default for LockSpaceClusterConfig {
 }
 
 /// Inputs a shard thread processes.
+#[derive(Debug)]
 enum Input {
     /// A local user's operation on a key this shard owns.
     Client(NodeInput),
@@ -143,8 +146,6 @@ enum Input {
         /// The peer whose cut point this marker carries.
         from: NodeId,
     },
-    /// Stop and report stats.
-    Shutdown,
 }
 
 /// One shard's in-progress Chandy–Lamport cut. The shard is a single
@@ -173,8 +174,8 @@ pub struct LockSpaceNodeStats {
     pub requests_sent: u64,
     /// Keyed `PRIVILEGE` messages sent by this node.
     pub privileges_sent: u64,
-    /// Envelopes transmitted by this node (post-coalescing channel
-    /// sends; at most `requests_sent + privileges_sent`).
+    /// Envelopes transmitted by this node (post-coalescing inbox
+    /// pushes; at most `requests_sent + privileges_sent`).
     pub envelopes_sent: u64,
     /// Critical-section entries performed by this node's local user.
     pub entries: u64,
@@ -205,7 +206,7 @@ pub struct LockSpaceStats {
     pub per_node: Vec<LockSpaceNodeStats>,
     /// Total keyed protocol messages exchanged (pre-coalescing).
     pub messages_total: u64,
-    /// Total envelopes transmitted (post-coalescing channel sends).
+    /// Total envelopes transmitted (post-coalescing inbox pushes).
     pub envelopes_total: u64,
     /// Total critical-section entries, across all keys.
     pub entries: u64,
@@ -248,7 +249,7 @@ pub struct LockSpaceCluster {
     keys: u32,
     placement: Placement,
     /// Shard inboxes, `[node][shard]`.
-    txs: Vec<Vec<Sender<Input>>>,
+    inboxes: Vec<Vec<Arc<Mailbox<Input>>>>,
     /// Shard threads, `[node][shard]`.
     joins: Vec<Vec<JoinHandle<LockSpaceNodeStats>>>,
 }
@@ -300,44 +301,43 @@ impl LockSpaceCluster {
         // is shared.
         let tree = Arc::new(tree.clone());
 
-        let mut txs: Vec<Vec<Sender<Input>>> = Vec::with_capacity(n);
-        let mut rxs: Vec<Vec<Receiver<Input>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (node_txs, node_rxs) = (0..config.workers).map(|_| unbounded()).unzip();
-            txs.push(node_txs);
-            rxs.push(node_rxs);
-        }
+        let inboxes: Vec<Vec<Arc<Mailbox<Input>>>> = (0..n)
+            .map(|_| {
+                (0..config.workers)
+                    .map(|_| Arc::new(Mailbox::new()))
+                    .collect()
+            })
+            .collect();
         let mut joins = Vec::with_capacity(n);
-        for (i, node_rxs) in rxs.into_iter().enumerate() {
+        for (i, node_inboxes) in inboxes.iter().enumerate() {
             let mut node_joins = Vec::with_capacity(config.workers);
-            for (s, rx) in node_rxs.into_iter().enumerate() {
+            for (s, inbox) in node_inboxes.iter().enumerate() {
                 let me = NodeId::from_index(i);
                 let agent = KeyAgent::new(me, Arc::clone(&tree), config.placement.clone(), 16);
                 let shard = Shard {
                     core: NodeCore::new(agent),
                     // The shard plane: shard s of every node.
-                    peers: txs.iter().map(|node| node[s].clone()).collect(),
+                    peers: inboxes.iter().map(|node| Arc::clone(&node[s])).collect(),
                     transport: Transport::new(n, config.flush),
                     pool: BatchPool::new(),
                     bursts: 0,
                     cut: None,
                     envelopes_sent: 0,
                 };
-                node_joins.push(std::thread::spawn(move || shard.run(rx)));
+                let inbox = CloseOnExit(Arc::clone(inbox));
+                node_joins.push(std::thread::spawn(move || shard.run(&inbox.0)));
             }
             joins.push(node_joins);
         }
 
-        let clients = txs
+        let clients = inboxes
             .iter()
             .enumerate()
             .map(|(i, shards)| {
                 // Each operation goes straight to the shard owning its key.
                 let shards = shards.clone();
                 LockClient::new(NodeId::from_index(i), config.keys, move |input| {
-                    shards[input.key().index() % shards.len()]
-                        .send(Input::Client(input))
-                        .map_err(|_| LockError::ClusterDown)
+                    shards[input.key().index() % shards.len()].push(Input::Client(input))
                 })
             })
             .collect();
@@ -345,7 +345,7 @@ impl LockSpaceCluster {
             LockSpaceCluster {
                 keys: config.keys,
                 placement: config.placement,
-                txs,
+                inboxes,
                 joins,
             },
             clients,
@@ -354,13 +354,13 @@ impl LockSpaceCluster {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.txs.len()
+        self.inboxes.len()
     }
 
     /// `true` for a cluster with no nodes — consistent with
     /// [`LockSpaceCluster::len`].
     pub fn is_empty(&self) -> bool {
-        self.txs.is_empty()
+        self.inboxes.is_empty()
     }
 
     /// Number of keys served.
@@ -390,20 +390,21 @@ impl LockSpaceCluster {
     ///
     /// [`shutdown`]: LockSpaceCluster::shutdown
     pub fn snapshot(&self) -> LockSpaceSnapshot {
-        let (reply, slices) = unbounded();
-        for tx in self.txs.iter().flatten() {
-            let sent = tx.send(Input::Snapshot {
+        // A cold path with many senders: std's channel suits it.
+        let (reply, slices) = mpsc::channel();
+        for inbox in self.inboxes.iter().flatten() {
+            let sent = inbox.push(Input::Snapshot {
                 reply: reply.clone(),
             });
             assert!(sent.is_ok(), "snapshot of a stopped cluster");
         }
         drop(reply);
-        let mut slices: Vec<NodeCut> = (self.txs.iter().flatten())
+        let mut slices: Vec<NodeCut> = (self.inboxes.iter().flatten())
             .map(|_| slices.recv().expect("cut interrupted by shutdown"))
             .collect();
         slices.sort_by_key(|slice| slice.node.index());
         // Fold each node's run of shard slices into its first one.
-        let mut cuts: Vec<NodeCut> = Vec::with_capacity(self.txs.len());
+        let mut cuts: Vec<NodeCut> = Vec::with_capacity(self.inboxes.len());
         for mut slice in slices {
             match cuts.last_mut().filter(|cut| cut.node == slice.node) {
                 None => cuts.push(slice),
@@ -425,9 +426,14 @@ impl LockSpaceCluster {
     }
 
     /// Stops every node and returns the aggregated counters.
+    ///
+    /// Closes every shard's inbox, so queued inputs drop and waiting
+    /// acquisitions fail with [`ClusterDown`](crate::LockError::ClusterDown),
+    /// then joins the shard threads. A shard whose thread died (a step
+    /// panicked) took its counters with it: it contributes zero.
     pub fn shutdown(self) -> LockSpaceStats {
-        for tx in self.txs.iter().flatten() {
-            let _ = tx.send(Input::Shutdown);
+        for inbox in self.inboxes.iter().flatten() {
+            inbox.close();
         }
         let per_node = self
             .joins
@@ -435,7 +441,7 @@ impl LockSpaceCluster {
             .map(|shards| {
                 let mut node = LockSpaceNodeStats::default();
                 for shard in shards {
-                    node.absorb(shard.join().expect("lock-space shard thread panicked"));
+                    node.absorb(shard.join().unwrap_or_default());
                 }
                 node
             })
@@ -464,6 +470,15 @@ impl LockService for LockSpaceCluster {
     }
 }
 
+/// Closes a shard's inbox when its thread ends, by panic too.
+struct CloseOnExit(Arc<Mailbox<Input>>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// One shard thread's whole state: everything its node keeps for the
 /// keys hashed to this shard. Nothing here is shared with the node's
 /// other shards.
@@ -472,7 +487,7 @@ struct Shard {
     /// of the key space: lock table, claims, held keys, counters.
     core: NodeCore,
     /// This shard's plane: the same shard's inbox on every node.
-    peers: Vec<Sender<Input>>,
+    peers: Vec<Arc<Mailbox<Input>>>,
     transport: Transport,
     pool: BatchPool,
     /// Keyed inputs handled since the last flush (the tickless analogue
@@ -485,20 +500,20 @@ struct Shard {
 
 impl Shard {
     /// The shard loop: handle one input at a time, flushing the
-    /// transport the moment the inbox goes idle.
-    fn run(mut self, rx: Receiver<Input>) -> LockSpaceNodeStats {
+    /// transport the moment the inbox goes idle, until the inbox is
+    /// closed.
+    fn run(mut self, inbox: &Mailbox<Input>) -> LockSpaceNodeStats {
         loop {
             let input = if self.transport.staged() > 0 {
-                match rx.try_recv() {
-                    Ok(input) => input,
-                    Err(TryRecvError::Empty) => {
+                match inbox.try_pop() {
+                    Some(input) => input,
+                    None => {
                         self.flush();
                         continue;
                     }
-                    Err(TryRecvError::Disconnected) => break,
                 }
             } else {
-                match rx.recv() {
+                match inbox.pop(None) {
                     Ok(input) => input,
                     Err(_) => break,
                 }
@@ -539,7 +554,6 @@ impl Shard {
                     self.cut_mut().marker_seen[from.index()] = true;
                     self.finish_cut();
                 }
-                Input::Shutdown => break,
             }
         }
         let keys_materialized = self.core.agent().table().len();
@@ -573,9 +587,9 @@ impl Shard {
         let from = self.core.agent().id();
         self.transport.flush(&mut self.pool, |to, envelope| {
             self.envelopes_sent += 1;
-            // A send can only fail during shutdown, when the counters
-            // no longer matter.
-            let _ = self.peers[to.index()].send(Input::Net { from, envelope });
+            // A push can only fail during shutdown, when the counters
+            // no longer matter, or when the peer shard is dead.
+            let _ = self.peers[to.index()].push(Input::Net { from, envelope });
         });
         self.bursts = 0;
     }
@@ -606,7 +620,7 @@ impl Shard {
                 .for_each_staged(|to, msg| slice.staged.push((to, *msg)));
             for (p, peer) in self.peers.iter().enumerate() {
                 if p != me.index() {
-                    let _ = peer.send(Input::Marker { from: me });
+                    let _ = peer.push(Input::Marker { from: me });
                 }
             }
             CutState {
@@ -636,6 +650,8 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::LockError;
+    use dmx_core::{DagMessage, KeyedDagMessage};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Barrier;
     use std::time::Duration;
@@ -778,6 +794,70 @@ mod tests {
             clients[1].lock(LockId(0)).wait().unwrap_err(),
             LockError::ClusterDown
         );
+    }
+
+    #[test]
+    fn waiter_blocked_across_shutdown_gets_cluster_down() {
+        let (cluster, clients) =
+            LockSpaceCluster::start(&Tree::star(3), 1, Placement::Hub(NodeId(1)));
+        let stats = crate::cluster::tests::assert_shutdown_fails_a_blocked_waiter(cluster, clients);
+        assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn a_dead_shard_fails_its_waiters_and_shutdown_still_returns() {
+        let config = LockSpaceClusterConfig {
+            keys: 4,
+            placement: Placement::Hub(NodeId(1)),
+            workers: 2,
+            ..LockSpaceClusterConfig::default()
+        };
+        let (cluster, clients) = LockSpaceCluster::start_with(&Tree::star(3), config);
+        let mut clients = clients.into_iter().skip(1);
+        let (mut c1, mut c2) = (clients.next().unwrap(), clients.next().unwrap());
+        // Node 1 holds key 2, so node 2's acquisition of it waits on
+        // node 2's shard 0: the shard about to die.
+        let guard = c1.lock(LockId(2)).wait().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            tx.send(c2.lock(LockId(2)).wait().map(drop)).unwrap();
+            c2
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        // Node 2 is not requesting key 0: a PRIVILEGE there is a protocol
+        // bug, and the shard thread that steps it panics.
+        let stray = KeyedDagMessage {
+            lock: LockId(0),
+            msg: DagMessage::Privilege,
+        };
+        let envelope = Envelope::One(stray);
+        let stray = Input::Net {
+            from: NodeId(1),
+            envelope,
+        };
+        cluster.inboxes[2][0].push(stray).unwrap();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(Err(LockError::ClusterDown)),
+            "a dead shard must fail its blocked waiter"
+        );
+        let mut c2 = waiter.join().unwrap();
+        // The dead shard's keys are down; the other shard still serves.
+        for key in [0, 2] {
+            assert_eq!(
+                c2.lock(LockId(key))
+                    .timeout(Duration::from_secs(5))
+                    .unwrap_err(),
+                LockError::ClusterDown
+            );
+        }
+        drop(c2.lock(LockId(1)).wait().unwrap());
+        drop(guard);
+        let stats = cluster.shutdown();
+        // The dead shard's counters died with it: node 2 reports only
+        // shard 1's entry.
+        assert_eq!(stats.node(NodeId(2)).entries, 1);
+        assert_eq!(stats.entries, 2);
     }
 
     #[test]

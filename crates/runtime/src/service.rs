@@ -69,8 +69,9 @@ use crate::snapshot::LockSpaceSnapshot;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockError {
     /// The cluster was shut down, or the node is down because a thread
-    /// panicked while stepping it, or (lock space) a shard thread died,
-    /// while the request was outstanding.
+    /// panicked while stepping it, or (lock space) the thread of the
+    /// shard that owns the key died: before the request was made, or
+    /// while it was outstanding.
     ClusterDown,
     /// The timeout window elapsed before every requested key was
     /// granted; partial multi-key acquisitions were rolled back.
@@ -136,7 +137,7 @@ pub trait LockService {
 }
 
 /// The node-side answer to an acquisition (sent on the client's ack
-/// channel).
+/// mailbox).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Reply {
     /// The key's critical section is yours.

@@ -484,7 +484,8 @@ mod tests {
     #[test]
     fn waiter_blocked_across_shutdown_gets_cluster_down() {
         let (cluster, clients) = TcpCluster::start(&Tree::star(3), NodeId(1)).unwrap();
-        crate::cluster::tests::assert_shutdown_fails_a_blocked_waiter(cluster, clients);
+        let stats = crate::cluster::tests::assert_shutdown_fails_a_blocked_waiter(cluster, clients);
+        assert_eq!(stats.entries, 1);
     }
 
     #[test]
